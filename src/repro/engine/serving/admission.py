@@ -39,6 +39,12 @@ from ..waiters import TicketWaiter
 
 __all__ = ["AdmissionController", "ShedDecision", "TokenBucket"]
 
+#: Slack when comparing a refilled bucket against one whole token.  Times
+#: are float seconds, so at large clock origins ``(t + 0.1) - t`` rounds to
+#: just under 0.1 and one full refill period would otherwise leave
+#: 0.999... tokens.  The slack is far below any real refill increment.
+_TOKEN_SLACK = 1e-9
+
 
 class TokenBucket:
     """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
@@ -69,7 +75,7 @@ class TokenBucket:
             elapsed = max(0.0, now - self._updated)
             self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
             self._updated = now
-            if self._tokens >= 1.0:
+            if self._tokens >= 1.0 - _TOKEN_SLACK:
                 self._tokens -= 1.0
                 return True
             return False

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,6 +132,12 @@ class TicketRegistry:
     a long-running server's registry stays bounded no matter how many
     queries it has served.  Thread-safe: flushes resolve tickets from
     arbitrary threads while the loop reads them.
+
+    Eviction is also a cost guarantee: an :meth:`add` over capacity evicts
+    only as many resolved tickets as the capacity requires, and stops
+    scanning as soon as it has found them.  It touches just those tickets
+    plus any still-pending ones registered before them (bounded by the
+    admission in-flight cap), so its cost does not grow with ``capacity``.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -145,9 +152,8 @@ class TicketRegistry:
             self._tickets[ticket.ticket_id] = ticket
             excess = len(self._tickets) - self._capacity
             if excess > 0:
-                for ticket_id in [
-                    tid for tid, t in self._tickets.items() if t.done()
-                ][:excess]:
+                resolved = (tid for tid, t in self._tickets.items() if t.done())
+                for ticket_id in list(islice(resolved, excess)):
                     del self._tickets[ticket_id]
 
     def get(self, ticket_id: int) -> Optional[QueryTicket]:

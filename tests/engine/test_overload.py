@@ -228,10 +228,16 @@ class TestCancellation:
 
 
 # ------------------------------------------------------------------- admission
+#: Clock origins for the bucket tests.  Float seconds lose precision as
+#: the origin grows: ``(100 + 0.1) - 100`` and ``(1e6 + 0.1) - 1e6`` both
+#: round to just under 0.1, so the refill must not depend on host uptime.
+CLOCK_ORIGINS = (0.0, 100.0, 1e6, 1e9)
+
+
 class TestTokenBucket:
-    def test_burst_then_dry_then_refill(self):
+    @pytest.mark.parametrize("start", CLOCK_ORIGINS)
+    def test_burst_then_dry_then_refill(self, start):
         bucket = TokenBucket(rate=10.0, burst=2.0)
-        start = time.monotonic()
         assert bucket.try_acquire(start)
         assert bucket.try_acquire(start)
         assert not bucket.try_acquire(start)
@@ -239,9 +245,9 @@ class TestTokenBucket:
         assert bucket.try_acquire(start + 0.1)
         assert not bucket.try_acquire(start + 0.1)
 
-    def test_refill_caps_at_burst(self):
+    @pytest.mark.parametrize("start", CLOCK_ORIGINS)
+    def test_refill_caps_at_burst(self, start):
         bucket = TokenBucket(rate=100.0, burst=3.0)
-        start = time.monotonic()
         for _ in range(3):
             assert bucket.try_acquire(start)
         # A long idle period refills to burst, not beyond.
