@@ -15,7 +15,7 @@ from repro.core import (
     total_workload,
 )
 from repro.core.workload import Workload
-from repro.engine import PlanCache, PrivateQueryEngine
+from repro.engine import PlanCache, PrivateQueryEngine, ShardSet
 from repro.engine.parallel import (
     ExecuteUnit,
     ProcessExecuteBackend,
@@ -54,7 +54,21 @@ def left_workload(domain: Domain) -> Workload:
     )
 
 
-def serve_stream(domain, database, split_policy, backend: str):
+SEED = 42
+
+#: ``serve_stream``'s submission mix: (workload builder, ε, sharded?).
+#: Three ε groups on the connected line policy, then one sharded batch of
+#: two tickets on the two-component policy.
+STREAM = (
+    (identity_workload, 0.5, False),
+    (cumulative_workload, 0.25, False),
+    (total_workload, 0.125, False),
+    (left_workload, 0.4, True),
+    (identity_workload, 0.4, True),
+)
+
+
+def serve_stream(domain, database, split_policy, backend: str, workers: int = 2):
     """One fixed submission mix through the given backend; returns evidence.
 
     Three ε groups on the connected line policy (three unsharded batches)
@@ -68,23 +82,13 @@ def serve_stream(domain, database, split_policy, backend: str):
         prefer_data_dependent=False,
         consistency=False,
         enable_answer_cache=False,
-        random_state=42,
-        execute_workers=2,
+        random_state=SEED,
+        execute_workers=workers,
         execute_backend=backend,
     )
     with engine:
         session = engine.open_session("alice", 50.0)
-        tickets = [
-            engine.submit("alice", identity_workload(domain), epsilon=0.5),
-            engine.submit("alice", cumulative_workload(domain), epsilon=0.25),
-            engine.submit("alice", total_workload(domain), epsilon=0.125),
-            engine.submit(
-                "alice", left_workload(domain), epsilon=0.4, policy=split_policy
-            ),
-            engine.submit(
-                "alice", identity_workload(domain), epsilon=0.4, policy=split_policy
-            ),
-        ]
+        tickets = submit_stream(engine, domain, split_policy)
         engine.flush()
         stats = engine.stats
         ledger = [
@@ -100,6 +104,94 @@ def serve_stream(domain, database, split_policy, backend: str):
     }
 
 
+def submit_stream(engine, domain, split_policy):
+    """Submit the :data:`STREAM` mix to ``engine`` (no flush)."""
+    return [
+        engine.submit(
+            "alice",
+            build(domain),
+            epsilon=epsilon,
+            policy=split_policy if sharded else None,
+        )
+        for build, epsilon, sharded in STREAM
+    ]
+
+
+def flush_stream(index: int) -> np.random.Generator:
+    """The ``index``-th flush stream of an engine seeded with :data:`SEED`."""
+    return np.random.default_rng(SEED).spawn(index + 1)[index]
+
+
+def spawn(rng: np.random.Generator, count: int):
+    return list(rng.spawn(count))
+
+
+def oracle_answers(domain, database, split_policy, rng, pooled: bool):
+    """Recompute :data:`STREAM`'s answers in this process with ``run_unit``.
+
+    The two documented derivations, applied by hand.  *Inline*: each
+    unsharded batch draws from the flush stream itself, in batch order, and
+    a sharded batch spawns its per-shard children from that same stream when
+    its turn comes.  *Pooled*: the flush stream spawns one child per batch,
+    an unsharded batch draws from its child, and a sharded batch spawns its
+    per-shard grandchildren from its child.  Per-shard streams follow sorted
+    shard order either way.
+    """
+    line = line_policy(domain)
+    plans = PlanCache()
+    unsharded = [entry for entry in STREAM if not entry[2]]
+    sharded = [entry for entry in STREAM if entry[2]]
+    batch_rngs = spawn(rng, len(unsharded) + 1) if pooled else None
+    answers = []
+    for index, (build, epsilon, _) in enumerate(unsharded):
+        plan = plans.plan_for(
+            line, epsilon, prefer_data_dependent=False, consistency=False
+        )
+        unit_rng = batch_rngs[index] if pooled else rng
+        vectors, _ = run_unit(plan, [build(domain)], database, unit_rng, False)
+        answers.append(vectors[0])
+    # The sharded batch: one unit per touched shard, workloads stacked in
+    # ticket order, then gathered back per ticket.
+    epsilon = sharded[0][1]
+    shard_set = ShardSet.build(split_policy, database)
+    scatters = [shard_set.scatter(build(domain)) for build, _, _ in sharded]
+    jobs = {}
+    for position, scatter in enumerate(scatters):
+        for piece_index, piece in enumerate(scatter.pieces):
+            jobs.setdefault(piece.shard.index, []).append(
+                (position, piece_index, piece)
+            )
+    shard_rngs = spawn(batch_rngs[-1] if pooled else rng, len(jobs))
+    pieces = {}
+    for shard_index, shard_rng in zip(sorted(jobs), shard_rngs):
+        entries = jobs[shard_index]
+        shard = entries[0][2].shard
+        plan = shard.plan_cache.plan_for(
+            shard.policy, epsilon, prefer_data_dependent=False, consistency=False
+        )
+        vectors, _ = run_unit(
+            plan,
+            [piece.workload for _, _, piece in entries],
+            shard.database,
+            shard_rng,
+            False,
+        )
+        for (position, piece_index, _), vector in zip(entries, vectors):
+            pieces[(position, piece_index)] = vector
+    for position, scatter in enumerate(scatters):
+        answers.append(
+            scatter.gather(
+                [pieces[(position, i)] for i in range(len(scatter.pieces))]
+            )
+        )
+    return answers
+
+
+@pytest.fixture(scope="module")
+def inline_run(domain, database, split_policy):
+    return serve_stream(domain, database, split_policy, "process", workers=1)
+
+
 @pytest.fixture(scope="module")
 def thread_run(domain, database, split_policy):
     return serve_stream(domain, database, split_policy, "thread")
@@ -108,6 +200,47 @@ def thread_run(domain, database, split_policy):
 @pytest.fixture(scope="module")
 def process_run(domain, database, split_policy):
     return serve_stream(domain, database, split_policy, "process")
+
+
+class TestDerivationOracle:
+    """Both RNG derivations, pinned against an in-process recomputation."""
+
+    def assert_matches_oracle(self, answers, domain, database, split_policy, rng, pooled):
+        expected = oracle_answers(domain, database, split_policy, rng, pooled)
+        assert len(answers) == len(expected) == len(STREAM)
+        for got, want in zip(answers, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_inline_engine_draws_the_inline_derivation(
+        self, inline_run, domain, database, split_policy
+    ):
+        assert inline_run["stats"].execute_backend == "inline"
+        self.assert_matches_oracle(
+            inline_run["answers"], domain, database, split_policy,
+            flush_stream(0), pooled=False,
+        )
+
+    def test_process_engine_draws_the_pooled_derivation(
+        self, process_run, domain, database, split_policy
+    ):
+        assert process_run["stats"].execute_backend == "process"
+        self.assert_matches_oracle(
+            process_run["answers"], domain, database, split_policy,
+            flush_stream(0), pooled=True,
+        )
+
+    def test_closed_pooled_engine_falls_back_to_the_inline_derivation(
+        self, domain, database, split_policy
+    ):
+        run = serve_stream(domain, database, split_policy, "process")
+        engine = run["engine"]  # closed by serve_stream
+        tickets = submit_stream(engine, domain, split_policy)
+        engine.flush()
+        assert [t.status for t in tickets] == ["answered"] * len(STREAM)
+        self.assert_matches_oracle(
+            [t.answers for t in tickets], domain, database, split_policy,
+            flush_stream(1), pooled=False,
+        )
 
 
 class TestBackendSelection:
