@@ -1,7 +1,7 @@
-"""Benchmark the miss-only blob protocol and the adaptive execute router.
+"""Benchmark the process backend's miss-only blob protocol.
 
 Runs as a plain script (``python benchmarks/bench_ipc.py``) and writes
-``BENCH_ipc.json`` at the repository root.  Three experiments:
+``BENCH_ipc.json`` at the repository root.  Two experiments:
 
 1. **Per-dispatch shipped bytes.**  The same memoised ``(plan, database)``
    unit is dispatched repeatedly to a one-worker process backend under the
@@ -22,15 +22,9 @@ Runs as a plain script (``python benchmarks/bench_ipc.py``) and writes
    of the identical RNG state, since the worker refuses *before* touching
    the RNG payload.
 
-3. **Adaptive routing decisions across unit sizes.**  Seeded engines serve
-   multi-unit flushes of increasing kernel weight under
-   ``execute_backend="adaptive"``: a cold cost model keeps unobserved and
-   tiny units inline, while an injected heavy-kernel model fans the same
-   flushes out to the process pool — and both serve answers bit-identical
-   to the static thread backend.
-
-All gates are deterministic (byte counts, miss counters, routing counters,
-draw equality), so there is no timing-gate demotion switch.
+Every dispatch is a group of one unit here.  All gates are deterministic
+(byte counts, miss counters, draw equality), so there is no timing-gate
+demotion switch.
 """
 
 from __future__ import annotations
@@ -47,9 +41,10 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core import Database, Domain  # noqa: E402
 from repro.core.workload import Workload  # noqa: E402
-from repro.engine import ExecuteCostModel, PlanCache, PrivateQueryEngine  # noqa: E402
+from repro.engine import PlanCache  # noqa: E402
 from repro.engine.parallel import (  # noqa: E402
     ExecuteUnit,
+    ExecuteUnitGroup,
     ProcessExecuteBackend,
     run_unit,
 )
@@ -104,6 +99,13 @@ def make_unit(plan, domain, database, seed: int):
     return unit, reference_rng
 
 
+def dispatch(backend, unit):
+    """Ship ``unit`` as a group of one; returns its answer vectors."""
+    (outcome,) = backend.submit_group(ExecuteUnitGroup(units=(unit,))).result()
+    assert outcome[0] == "ok", outcome
+    return outcome[1]
+
+
 def run_protocol_bytes(protocol: str):
     """Steady-state per-dispatch bytes for one blob protocol."""
     domain, database, _, plan = build_fixture()
@@ -114,7 +116,7 @@ def run_protocol_bytes(protocol: str):
         # Warm-up: pool creation (initializer preload) + memo fill.
         for seed in (1, 2):
             unit, reference_rng = make_unit(plan, domain, database, seed)
-            vectors, _ = backend.submit(unit).result()
+            vectors = dispatch(backend, unit)
             reference, _ = run_unit(
                 plan, unit.workloads, database, reference_rng, want_noise=False
             )
@@ -122,7 +124,7 @@ def run_protocol_bytes(protocol: str):
         before = backend.bytes_shipped
         for seed in range(10, 10 + STEADY_DISPATCHES):
             unit, _ = make_unit(plan, domain, database, seed)
-            backend.submit(unit).result()
+            dispatch(backend, unit)
         per_dispatch = (backend.bytes_shipped - before) / STEADY_DISPATCHES
         return {
             "protocol": protocol,
@@ -145,7 +147,7 @@ def run_miss_recovery():
     backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
     try:
         unit, _ = make_unit(plan, domain, database, 1)
-        backend.submit(unit).result()  # creates the pool; plan+db preloaded
+        dispatch(backend, unit)  # creates the pool; plan+db preloaded
 
         # A plan the pool initializer never saw: its first dispatch ships
         # the blob eagerly (exactly once) to the worker that draws it.
@@ -153,7 +155,7 @@ def run_miss_recovery():
             policy, 0.25, prefer_data_dependent=False, consistency=False
         )
         unit, _ = make_unit(late_plan, domain, database, 2)
-        backend.submit(unit).result()
+        dispatch(backend, unit)
         misses_before_restart = backend.blob_cache_misses
 
         # Simulated respawn: the worker falls back to its initializer
@@ -161,7 +163,7 @@ def run_miss_recovery():
         # respawn) keeps dispatching digest-only and must recover.
         restarted = backend.reset_resident_caches()
         unit, reference_rng = make_unit(late_plan, domain, database, 3)
-        vectors, _ = backend.submit(unit).result()
+        vectors = dispatch(backend, unit)
         reference, _ = run_unit(
             late_plan, unit.workloads, database, reference_rng, want_noise=False
         )
@@ -177,86 +179,10 @@ def run_miss_recovery():
         backend.close()
 
 
-def run_adaptive_routing():
-    """Routing decisions across unit weights, plus parity with threads."""
-    def serve(backend: str, domain_size: int, cost_model=None):
-        domain = Domain((domain_size,))
-        rng = np.random.default_rng(7)
-        counts = rng.integers(0, 50, size=domain_size).astype(float)
-        database = Database(domain, counts, name=f"ipc-adaptive-{domain_size}")
-        options = dict(
-            total_epsilon=1000.0,
-            default_policy=line_policy(domain),
-            prefer_data_dependent=False,
-            consistency=False,
-            enable_answer_cache=False,
-            random_state=0,
-            execute_workers=2,
-            execute_backend=backend,
-        )
-        if backend == "adaptive":
-            options["execute_cost_model"] = cost_model
-        engine = PrivateQueryEngine(database, **options)
-        with engine:
-            engine.open_session("bench", 500.0)
-            tickets = []
-            for round_index in range(3):
-                for group, epsilon in enumerate((0.4, 0.2, 0.1)):
-                    rng = np.random.default_rng(100 * round_index + group)
-                    matrix = np.zeros((QUERIES, domain.size))
-                    for row in range(QUERIES):
-                        lo = int(rng.integers(0, domain.size - 2))
-                        hi = int(rng.integers(lo + 1, domain.size))
-                        matrix[row, lo : hi + 1] = 1.0
-                    tickets.append(
-                        engine.submit(
-                            "bench",
-                            Workload(domain, matrix, name=f"r{round_index}g{group}"),
-                            epsilon,
-                        )
-                    )
-                engine.flush()
-            stats = engine.stats
-        return [t.answers for t in tickets], stats
-
-    rows = []
-    for domain_size in (256, 4096):
-        reference, _ = serve("thread", domain_size)
-        cold_answers, cold_stats = serve("adaptive", domain_size)
-        forced_answers, forced_stats = serve(
-            "adaptive", domain_size, ExecuteCostModel(default_kernel_seconds=60.0)
-        )
-        rows.append(
-            {
-                "domain_size": domain_size,
-                "cold_model": {
-                    "adaptive_inline": cold_stats.adaptive_inline,
-                    "adaptive_dispatched": cold_stats.adaptive_dispatched,
-                    "bytes_shipped": cold_stats.bytes_shipped,
-                },
-                "forced_heavy_model": {
-                    "adaptive_inline": forced_stats.adaptive_inline,
-                    "adaptive_dispatched": forced_stats.adaptive_dispatched,
-                    "bytes_shipped": forced_stats.bytes_shipped,
-                    "blob_cache_misses": forced_stats.blob_cache_misses,
-                },
-                "answers_identical_to_thread": bool(
-                    all(
-                        a is not None and b is not None and np.array_equal(a, b)
-                        for run in (cold_answers, forced_answers)
-                        for a, b in zip(reference, run)
-                    )
-                ),
-            }
-        )
-    return rows
-
-
 def main() -> int:
     always = run_protocol_bytes("always")
     miss_only = run_protocol_bytes("miss-only")
     recovery = run_miss_recovery()
-    routing = run_adaptive_routing()
 
     reduction = (
         always["steady_per_dispatch_bytes"] / miss_only["steady_per_dispatch_bytes"]
@@ -271,7 +197,6 @@ def main() -> int:
         "protocols": {"always": always, "miss_only": miss_only},
         "steady_bytes_reduction": reduction,
         "miss_recovery": recovery,
-        "adaptive_routing": routing,
     }
     out_path = os.path.join(REPO_ROOT, "BENCH_ipc.json")
     with open(out_path, "w", encoding="utf-8") as handle:
@@ -294,25 +219,6 @@ def main() -> int:
     if not recovery["recovered_answers_identical"]:
         print("FAIL: the miss-path resubmission drew different noise")
         ok = False
-    for row in routing:
-        if not row["answers_identical_to_thread"]:
-            print(
-                f"FAIL: adaptive answers diverged from the thread backend "
-                f"(domain {row['domain_size']})"
-            )
-            ok = False
-        if row["forced_heavy_model"]["adaptive_dispatched"] == 0:
-            print(
-                f"FAIL: a heavy-kernel cost model never dispatched "
-                f"(domain {row['domain_size']})"
-            )
-            ok = False
-        if row["cold_model"]["adaptive_inline"] == 0:
-            print(
-                f"FAIL: a cold cost model should start units inline "
-                f"(domain {row['domain_size']})"
-            )
-            ok = False
     if ok:
         print(
             f"OK: miss-only protocol ships {reduction:.0f}x fewer steady-state "
@@ -320,8 +226,7 @@ def main() -> int:
             f"{always['steady_per_dispatch_bytes']:.0f}), miss path exercised "
             f"({recovery['blob_cache_misses']} miss(es), "
             f"{recovery['resubmits']} resubmission(s)) and recovered "
-            "bit-identically; adaptive routes tiny units inline and forced-heavy "
-            "units to the pool with thread-identical draws"
+            "bit-identically"
         )
     return 0 if ok else 1
 

@@ -14,18 +14,23 @@ Runs as a plain script (``python benchmarks/bench_kernels.py``) and writes
    (``BENCH_KERNELS_TIMING_GATE=0`` demotes it to a warning).
 
 2. **Fused vs per-unit dispatch (self-arming timing gate).**  A 16-shard
-   batch is flushed through the thread backend with ``execute_fusion`` on
-   and off.  Fused execution must not lose (bar: ≥ 1.0× steady-state
-   throughput, i.e. fusion pays for itself) **on hosts with ≥ 4 cores**; on
-   fewer cores the report honestly records the measured ratio instead of
-   pretending a parallel win on hardware that cannot show one.
+   batch is flushed through a 2-worker process pool, which fuses the 16
+   units into 2 dispatches, and through a 16-worker pool, where every unit
+   is a dispatch of its own (the only way units go unfused: a pool fuses
+   only when a flush holds more units than workers).  Fused execution must
+   not lose (bar: ≥ 1.0× steady-state throughput, i.e. fusion pays for
+   itself) **on hosts with ≥ 4 cores**; on fewer cores the report honestly
+   records the measured ratio instead of pretending a parallel win on
+   hardware that cannot show one.  The 16-worker arm spawns 16 worker
+   processes (~80 MB each).
 
 3. **Determinism (always enforced).**  The same seeded stream must produce
-   byte-identical answers and ε ledgers with the store on vs off, and with
-   fusion on vs off across the thread, process and adaptive backends (the
-   adaptive run routes part of the flush inline, holding the inline path to
-   the same bar).  The store and fusion are *performance* artifacts; they
-   must never touch draws or charges.
+   byte-identical answers and ε ledgers with the store on vs off, on 2- and
+   4-worker process pools (different fused chunks), and against an
+   in-process recomputation that runs every unit alone under the pooled
+   RNG derivation; the inline engine (its own derivation) must not change
+   with the store either.  The store and fusion are *performance*
+   artifacts; they must never touch draws or charges.
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core import Database, Domain  # noqa: E402
 from repro.core.workload import Workload  # noqa: E402
-from repro.engine import PrivateQueryEngine  # noqa: E402
+from repro.engine import PrivateQueryEngine, ShardSet  # noqa: E402
 from repro.engine.factorisation import (  # noqa: E402
     FactorisationStore,
     get_store,
     set_store,
     set_store_enabled,
 )
+from repro.engine.parallel import run_unit  # noqa: E402
 from repro.policy import PolicyGraph, grid_policy  # noqa: E402
 from repro.policy.transform import PolicyTransform  # noqa: E402
 
@@ -149,7 +155,7 @@ def shard_workload(domain, seed: int) -> Workload:
     return Workload(domain, matrix, name=f"shards{NUM_SHARDS}x{seed}")
 
 
-def make_engine(database, policy, backend: str, workers, fusion: bool):
+def make_engine(database, policy, backend: str, workers):
     return PrivateQueryEngine(
         database,
         total_epsilon=1000.0,
@@ -160,13 +166,12 @@ def make_engine(database, policy, backend: str, workers, fusion: bool):
         random_state=0,
         execute_workers=workers,
         execute_backend=backend,
-        execute_fusion=fusion,
     )
 
 
-def run_fusion_sweep_cell(backend: str, fusion: bool):
+def run_fusion_sweep_cell(workers: int):
     domain, database, policy = build_sharded_fixture()
-    with make_engine(database, policy, backend, 2, fusion) as engine:
+    with make_engine(database, policy, "process", workers) as engine:
         engine.open_session("bench", 500.0)
         # Warm the shard plans so rounds measure execute, not planning.
         engine.ask("bench", shard_workload(domain, 999), 0.4)
@@ -180,8 +185,7 @@ def run_fusion_sweep_cell(backend: str, fusion: bool):
     tail = round_walls[WARM_ROUNDS:]
     steady = sorted(tail)[len(tail) // 2]
     return {
-        "backend": backend,
-        "fusion": fusion,
+        "workers": workers,
         "round_wall_seconds": round_walls,
         "steady_round_seconds": steady,
         "worker_dispatches": stats.worker_dispatches,
@@ -191,15 +195,18 @@ def run_fusion_sweep_cell(backend: str, fusion: bool):
 
 
 # ---------------------------------------------------------------------------
-# Experiment 3: determinism — store on/off, fusion on/off, every backend.
+# Experiment 3: determinism — store on/off, grouping, both backends.
 # ---------------------------------------------------------------------------
-def serve_stream(backend: str, workers, fusion: bool):
+STREAM_EPSILONS = (0.4, 0.2)
+
+
+def serve_stream(backend: str, workers):
     domain, database, policy = build_sharded_fixture()
-    with make_engine(database, policy, backend, workers, fusion) as engine:
+    with make_engine(database, policy, backend, workers) as engine:
         session = engine.open_session("bench", 500.0)
         tickets = [
-            engine.submit("bench", shard_workload(domain, 0), 0.4),
-            engine.submit("bench", shard_workload(domain, 1), 0.2),
+            engine.submit("bench", shard_workload(domain, seed), epsilon)
+            for seed, epsilon in enumerate(STREAM_EPSILONS)
         ]
         engine.flush()
         answers = [np.asarray(ticket.answers) for ticket in tickets]
@@ -210,45 +217,74 @@ def serve_stream(backend: str, workers, fusion: bool):
     return answers, ledger
 
 
-def run_determinism():
-    reference_answers, reference_ledger = serve_stream("thread", 2, False)
+def pooled_oracle():
+    """``serve_stream``'s answers with every unit run alone, in process.
 
-    def matches(answers, ledger):
+    The pooled derivation by hand: the engine's first flush stream spawns
+    one child per batch (one batch per ε), and each child one grandchild
+    per shard in sorted shard order.
+    """
+    domain, database, policy = build_sharded_fixture()
+    shard_set = ShardSet.build(policy, database)
+    flush_rng = np.random.default_rng(0).spawn(1)[0]
+    answers = []
+    children = flush_rng.spawn(len(STREAM_EPSILONS))
+    for (seed, epsilon), child in zip(enumerate(STREAM_EPSILONS), children):
+        scatter = shard_set.scatter(shard_workload(domain, seed))
+        pieces = sorted(scatter.pieces, key=lambda piece: piece.shard.index)
+        vectors = {}
+        for piece, rng in zip(pieces, child.spawn(len(pieces))):
+            plan = piece.shard.plan_cache.plan_for(
+                piece.shard.policy,
+                epsilon,
+                prefer_data_dependent=False,
+                consistency=False,
+            )
+            (vector,), _ = run_unit(
+                plan, [piece.workload], piece.shard.database, rng, False
+            )
+            vectors[piece.shard.index] = vector
+        answers.append(
+            scatter.gather([vectors[piece.shard.index] for piece in scatter.pieces])
+        )
+    return answers
+
+
+def run_determinism():
+    reference_answers, reference_ledger = serve_stream("process", 2)
+
+    def matches(answers, ledger=reference_ledger):
         return (
             all(np.array_equal(a, b) for a, b in zip(reference_answers, answers))
             and ledger == reference_ledger
         )
 
-    results = {}
-    for name, backend, fusion in (
-        ("thread-fused", "thread", True),
-        ("process-fused", "process", True),
-        ("process-unfused", "process", False),
-        ("adaptive-fused", "adaptive", True),
-    ):
-        answers, ledger = serve_stream(backend, 2, fusion)
-        results[name] = matches(answers, ledger)
+    results = {"units-alone-oracle": matches(pooled_oracle())}
+    answers, ledger = serve_stream("process", 4)
+    results["process-4-workers"] = matches(answers, ledger)
 
     get_store().clear()
     previous = set_store_enabled(False)
     try:
-        answers, ledger = serve_stream("thread", 2, True)
+        answers, ledger = serve_stream("process", 2)
     finally:
         set_store_enabled(previous)
     results["store-disabled"] = matches(answers, ledger)
 
-    # The no-pool engine is its own reference (it derives RNG per batch, not
-    # per flush-unit): the store must not change its draws either.
-    inline_on, inline_ledger_on = serve_stream("thread", None, True)
+    # The inline engine is its own reference (it draws unsharded batches
+    # from the flush stream itself, not from per-batch children): the
+    # store must not change its draws either.
+    inline_on, inline_ledger_on = serve_stream("inline", None)
     get_store().clear()
     previous = set_store_enabled(False)
     try:
-        inline_off, inline_ledger_off = serve_stream("thread", None, True)
+        inline_off, inline_ledger_off = serve_stream("inline", None)
     finally:
         set_store_enabled(previous)
     results["inline-store-invariant"] = (
         all(np.array_equal(a, b) for a, b in zip(inline_on, inline_off))
         and inline_ledger_on == inline_ledger_off
+        and inline_ledger_on == reference_ledger
     )
     return results
 
@@ -256,32 +292,19 @@ def run_determinism():
 def main() -> int:
     cores = os.cpu_count() or 1
     reuse = run_factorisation_reuse()
-    fusion_cells = [
-        run_fusion_sweep_cell("thread", True),
-        run_fusion_sweep_cell("thread", False),
-        run_fusion_sweep_cell("process", True),
-        run_fusion_sweep_cell("process", False),
-    ]
-    determinism = run_determinism()
-
-    def cell(backend, fusion):
-        return next(
-            row
-            for row in fusion_cells
-            if row["backend"] == backend and row["fusion"] is fusion
-        )
-
-    fused_speedup = (
-        cell("thread", False)["steady_round_seconds"]
-        / cell("thread", True)["steady_round_seconds"]
+    fused, per_unit = (
+        run_fusion_sweep_cell(2),
+        run_fusion_sweep_cell(NUM_SHARDS),
     )
+    determinism = run_determinism()
+    fused_speedup = per_unit["steady_round_seconds"] / fused["steady_round_seconds"]
     report = {
         "cpu_cores": cores,
         "cells": DOMAIN_SIZE,
         "shards": NUM_SHARDS,
         "factorisation_reuse": reuse,
-        "fusion_sweep": fusion_cells,
-        "speedup_fused_vs_unfused_thread": fused_speedup,
+        "fusion_sweep": [fused, per_unit],
+        "speedup_fused_vs_per_unit_process": fused_speedup,
         "determinism": determinism,
     }
     out_path = os.path.join(REPO_ROOT, "BENCH_kernels.json")
@@ -311,8 +334,8 @@ def main() -> int:
         print(
             f"INFO: {cores} core(s) available — the fused-dispatch gate needs "
             f">= 4; honest report: fused/unfused = {fused_speedup:.2f}x "
-            f"({cell('thread', True)['worker_dispatches']} vs "
-            f"{cell('thread', False)['worker_dispatches']} dispatches per serve)"
+            f"({fused['worker_dispatches']} vs "
+            f"{per_unit['worker_dispatches']} dispatches per serve)"
         )
     for name, identical in determinism.items():
         if not identical:
@@ -323,7 +346,7 @@ def main() -> int:
             f"OK: factorisation reuse {reuse_speedup:.1f}x warm-vs-cold at "
             f"{DOMAIN_SIZE} cells, fused/unfused {fused_speedup:.2f}x on "
             f"{NUM_SHARDS} shards ({cores} cores), draws and ledgers "
-            "byte-identical across store and fusion settings on every backend"
+            "byte-identical across store settings, pool sizes and units run alone"
         )
     return 0 if ok else 1
 

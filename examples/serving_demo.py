@@ -28,14 +28,14 @@ together:
    for client-declared partitions follows the same rule: it needs the
    release to be a function of the partition, which holds for
    data-independent plans unsharded and for *any* plan sharded;
-7. with ``execute_backend="process"`` the execute stage runs on **worker
-   processes** — the only way past the GIL for the scipy-sparse mechanism
-   kernels.  Seed derivations are identical across backends, so a seeded
-   engine answers the same either way, and ε ledgers never depend on the
-   backend at all.  ``execute_backend="adaptive"`` goes one step further
-   and *measures* the trade: an EWMA cost model routes each work unit
-   inline, to the thread pool, or to the process pool — tiny units skip
-   dispatch overhead entirely, heavy flushes still fan out across cores;
+7. with ``execute_workers=`` the execute stage runs on **worker
+   processes** (``execute_backend="process"``, the default) — the only way
+   past the GIL for the scipy-sparse mechanism kernels.  Steady-state
+   dispatches ship content digests instead of plan/database pickles, and
+   a flush holding more work units than workers fuses compatible units
+   into one dispatch per worker.  ε ledgers never depend on the backend,
+   and seeded draws follow a documented derivation per backend (inline or
+   pooled), so a pooled engine answers the same whatever its worker count;
 8. the plan store persists: ``engine.save_plans(path)`` writes every cached
    plan (per-shard caches included) to disk, and a relaunched server that
    ``load_plans(path)`` serves the same workload with **zero** cold plans —
@@ -95,7 +95,6 @@ from repro.core import (
 from repro.core.workload import Workload
 from repro.engine import (
     BatchingExecutor,
-    ExecuteCostModel,
     FactorisationStore,
     Observability,
     PrivateQueryEngine,
@@ -183,7 +182,6 @@ def main() -> None:
     concurrent_demo(database, domain)
     sharded_demo()
     multicore_demo(database, domain)
-    adaptive_demo(database, domain)
     warm_restart_demo(database, domain)
     factorisation_demo(database, domain)
     observability_demo(database, domain)
@@ -355,16 +353,16 @@ def sharded_demo() -> None:
 
 
 def multicore_demo(database: Database, domain: Domain) -> None:
-    """The execute stage on worker processes, with identical draws.
+    """The execute stage on worker processes, with reproducible draws.
 
-    Two engines with the same seed, one per backend: the thread pool
-    overlaps batches under the GIL, the process pool runs them on separate
-    cores — and because RNG children are derived identically, the answers
-    match bit for bit (and the ε ledgers always do, on any backend).
+    The same seeded stream served inline and on process pools of 2 and 3
+    workers: the pools deal every work unit its RNG child before dispatch,
+    so their answers match bit for bit whatever the worker count, and the
+    ε ledgers match on every backend.
     """
     print("\n-- process-parallel execute stage --")
 
-    def serve(backend: str):
+    def serve(backend: str, workers: int):
         engine = PrivateQueryEngine(
             database,
             total_epsilon=8.0,
@@ -373,11 +371,11 @@ def multicore_demo(database: Database, domain: Domain) -> None:
             consistency=False,
             enable_answer_cache=False,
             random_state=29,
-            execute_workers=2,
+            execute_workers=workers,
             execute_backend=backend,
         )
         with engine:
-            engine.open_session("analyst", 2.0)
+            session = engine.open_session("analyst", 2.0)
             tickets = [
                 engine.submit(
                     "analyst", cumulative_workload(domain), epsilon=0.4 / (1 << i)
@@ -386,82 +384,26 @@ def multicore_demo(database: Database, domain: Domain) -> None:
             ]
             engine.flush()
             stats = engine.stats
-        return [t.result() for t in tickets], stats
+            ledger = [(op.label, op.epsilon) for op in session.accountant.operations]
+        return [t.result() for t in tickets], stats, ledger
 
-    thread_answers, thread_stats = serve("thread")
-    process_answers, process_stats = serve("process")
+    _, inline_stats, inline_ledger = serve("inline", 1)
+    two_answers, two_stats, two_ledger = serve("process", 2)
+    three_answers, _, three_ledger = serve("process", 3)
     identical = all(
-        np.array_equal(a, b) for a, b in zip(thread_answers, process_answers)
+        np.array_equal(a, b) for a, b in zip(two_answers, three_answers)
     )
     print(
-        f"thread backend: {thread_stats.worker_dispatches} work units dispatched; "
-        f"process backend: {process_stats.worker_dispatches} units, "
-        f"{process_stats.serialization_seconds * 1e3:.1f}ms serialisation overhead"
+        f"inline: {inline_stats.worker_dispatches} dispatches; "
+        f"process backend: {two_stats.worker_dispatches} dispatches, "
+        f"{two_stats.serialization_seconds * 1e3:.1f}ms serialisation overhead, "
+        f"{two_stats.bytes_shipped} bytes over the pipe"
     )
-    print(f"same seed, both backends: answers bit-identical = {identical}")
-
-
-def adaptive_demo(database: Database, domain: Domain) -> None:
-    """Cost-aware dispatch: the engine decides per unit where it runs.
-
-    A static backend choice is a bet made at configuration time; the
-    adaptive backend re-makes it every flush from measurements.  Its cost
-    model tracks how long each plan's kernels actually take (EWMA per plan
-    key — observed inline, on thread workers, and inside worker processes,
-    whose protocol ships the measurement back with the answers) against
-    each pool's observed per-dispatch overhead (serialisation + IPC +
-    future round trip).  Tiny units therefore never pay IPC for nothing —
-    the BENCH_multicore lesson on few-core hosts — while genuinely heavy
-    flushes still fan out.  Steady-state process dispatches are cheap to
-    begin with: the miss-only blob protocol ships content digests instead
-    of plan/database pickles (workers hold them resident), so the pipe
-    carries little more than workloads and an RNG child.
-    """
-    print("\n-- adaptive execute backend --")
-
-    def serve(label: str, cost_model):
-        engine = PrivateQueryEngine(
-            database,
-            total_epsilon=8.0,
-            default_policy=line_policy(domain),
-            prefer_data_dependent=False,
-            consistency=False,
-            enable_answer_cache=False,
-            random_state=29,
-            execute_workers=2,
-            execute_backend="adaptive",
-            execute_cost_model=cost_model,
-        )
-        with engine:
-            engine.open_session("analyst", 2.0)
-            tickets = [
-                engine.submit(
-                    "analyst", cumulative_workload(domain), epsilon=0.4 / (1 << i)
-                )
-                for i in range(3)
-            ]
-            engine.flush()
-            stats = engine.stats
-        print(
-            f"{label}: {stats.adaptive_inline} unit(s) inline, "
-            f"{stats.adaptive_dispatched} dispatched, "
-            f"{stats.bytes_shipped} bytes over the pipe"
-        )
-        return [t.result() for t in tickets]
-
-    # Cold model: nothing has been measured, so every unit runs inline and
-    # seeds its plan's kernel estimate — the safe default for tiny units.
-    cold = serve("cold cost model", None)
-    # A primed model (here: injected, in production: learned from serving)
-    # that believes these kernels are heavy fans the same flush out to the
-    # process pool instead.
-    heavy = serve(
-        "forced heavy-kernel model", ExecuteCostModel(default_kernel_seconds=60.0)
+    print(f"same seed, 2 vs 3 workers: answers bit-identical = {identical}")
+    print(
+        "epsilon ledgers identical inline and pooled = "
+        f"{inline_ledger == two_ledger == three_ledger}"
     )
-    # Routing never touches the noise: both engines share one seed, so the
-    # answers match bit for bit wherever the units actually ran.
-    identical = all(np.array_equal(a, b) for a, b in zip(cold, heavy))
-    print(f"same seed, inline vs process-routed: answers bit-identical = {identical}")
 
 
 def warm_restart_demo(database: Database, domain: Domain) -> None:

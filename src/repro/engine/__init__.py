@@ -12,8 +12,7 @@ per-component :class:`DomainShard`\\ s for multi-component policies (exact
 under parallel composition), a multi-core execute stage
 (``execute_backend="process"`` ships picklable work units to worker
 processes over a **miss-only blob protocol** — steady state sends digests,
-not plan/database pickles — and ``"adaptive"`` routes each unit inline /
-thread / process by a measured cost model — :mod:`repro.engine.parallel`),
+not plan/database pickles — :mod:`repro.engine.parallel`),
 and a :class:`BatchingExecutor`
 front-end that accumulates concurrent submissions and auto-flushes on a
 deadline/size trigger.
@@ -73,12 +72,9 @@ from .observability import (
     Tracer,
 )
 from .parallel import (
-    AdaptiveExecuteBackend,
-    ExecuteCostModel,
     ExecuteUnit,
     ExecuteUnitGroup,
     ProcessExecuteBackend,
-    ThreadExecuteBackend,
 )
 from .pipeline import (
     ANSWERED,
@@ -103,7 +99,6 @@ from .waiters import BatchTriggers, ThreadTicketWaiter, TicketLifecycle, TicketW
 
 __all__ = [
     "ANSWERED",
-    "AdaptiveExecuteBackend",
     "AnswerCache",
     "AnswerCacheStats",
     "AuditLog",
@@ -120,7 +115,6 @@ __all__ = [
     "FaultInjector",
     "LedgerStore",
     "Snapshotter",
-    "ExecuteCostModel",
     "ExecuteUnit",
     "ExecuteUnitGroup",
     "FactorisationHandle",
@@ -140,7 +134,6 @@ __all__ = [
     "REFUSED",
     "SERVING_FAULT_POINTS",
     "Span",
-    "ThreadExecuteBackend",
     "ThreadTicketWaiter",
     "TicketLifecycle",
     "TicketWaiter",

@@ -26,10 +26,10 @@ maintenance):
    ``flush()`` callers therefore overlap their numerical work instead of
    queueing behind one engine-wide lock; compatible queries within a flush
    are still answered by **one** vectorised mechanism invocation.  With
-   ``execute_workers``/``execute_backend`` the execute stage additionally
-   fans out across threads or **worker processes**
-   (:mod:`repro.engine.parallel`) — true multi-core execution for the
-   GIL-bound mechanism kernels, with backend-independent noise derivations.
+   ``execute_workers`` the execute stage additionally fans out across
+   **worker processes** (:mod:`repro.engine.parallel`) — true multi-core
+   execution for the GIL-bound mechanism kernels, with documented,
+   seed-reproducible noise derivations.
 4. **Domain sharding** — policies whose graph decomposes into several
    connected components are served scatter/gather
    (:mod:`repro.engine.sharding`): component-confined workloads are split
@@ -61,6 +61,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,10 +86,11 @@ from .durability.snapshotter import Snapshotter
 from .factorisation import get_store as get_factorisation_store
 from .observability import Observability
 from .parallel import (
-    ExecuteCostModel,
+    INLINE_BACKEND,
     ExecuteUnit,
+    ExecuteUnitGroup,
     create_execute_backend,
-    execute_unit_via,
+    execute_groups,
 )
 from .pipeline import (
     ANSWERED,
@@ -165,37 +167,32 @@ class EngineStats:
     charge_seconds: float = 0.0
     execute_seconds: float = 0.0
     resolve_seconds: float = 0.0
-    #: Which execute backend served the flushes: ``"inline"`` (no pool),
-    #: ``"thread"``, ``"process"`` or ``"adaptive"``.
+    #: Which execute backend served the flushes: ``"inline"`` (no pool) or
+    #: ``"process"``.  A closed engine keeps reporting the backend that
+    #: served it, although its later flushes run inline.
     execute_backend: str = "inline"
-    #: Work units dispatched to the execute backend (0 for inline engines;
-    #: for ``"adaptive"`` only pool-routed units count — inline-routed ones
-    #: are tallied by :attr:`adaptive_inline`).
+    #: Group dispatches handed to the worker pool (0 for inline engines; a
+    #: fused group counts once, and a lone-unit flush runs inline without
+    #: a dispatch).
     worker_dispatches: int = 0
     #: Parent-side wall-clock spent pickling plans/payloads for the process
-    #: backend (always 0.0 for inline/thread) — the observable cost of
-    #: crossing the process boundary.
+    #: backend (always 0.0 inline) — the observable cost of crossing the
+    #: process boundary.
     serialization_seconds: float = 0.0
     #: Total bytes shipped over the process-pool pipe (payloads, digests,
-    #: and blobs the miss-only protocol actually sent) — 0 for
-    #: inline/thread engines.
+    #: and blobs the miss-only protocol actually sent) — 0 inline.
     bytes_shipped: int = 0
     #: Worker-side resident-cache misses of the miss-only blob protocol
     #: (each one cost a resubmission round trip with full blobs).
     blob_cache_misses: int = 0
-    #: Units the adaptive router kept inline on the flushing thread
-    #: (0 unless ``execute_backend="adaptive"``).
-    adaptive_inline: int = 0
-    #: Units the adaptive router dispatched to a pool (thread or process).
-    adaptive_dispatched: int = 0
     #: Times the process backend replaced a broken worker pool (a worker
     #: died mid-dispatch, e.g. OOM-kill or SIGKILL) and kept serving on a
-    #: fresh pool.  0 for inline/thread engines; after the respawn budget
+    #: fresh pool.  0 for inline engines; after the respawn budget
     #: is exhausted the engine falls back inline permanently.
     pool_respawns: int = 0
-    #: Units that reached the backend fused into grouped dispatches (each
-    #: member counts once).  0 with ``execute_fusion=False``, on inline
-    #: engines, or while flushes stay at or below the backend's slot count.
+    #: Units dispatched inside groups of two or more (each member counts
+    #: once).  0 on inline engines, and while flushes stay at or below the
+    #: worker count (every unit is then a group of one).
     fused_units: int = 0
     #: Process-wide factorisation-store telemetry (the store is shared by
     #: every plan, shard cache and engine in the process — see
@@ -264,37 +261,29 @@ class PrivateQueryEngine:
     shard_plan_cache_size:
         LRU capacity of each per-shard plan cache.
     execute_workers:
-        When set (> 1), the execute stage runs on a shared worker pool: the
-        flush's batches are cut into work units (one per unsharded batch, one
-        per touched shard of a sharded batch) and dispatched concurrently.
-        Each unit gets its own child noise stream, so a flush's answers then
-        depend on batch grouping rather than submission order.
+        When set (> 1) with the process backend, the execute stage runs on a
+        shared pool of worker *processes* (:mod:`repro.engine.parallel`) —
+        the only way past the GIL for the scipy-sparse mechanism kernels.
+        The flush's batches are cut into work units (one per unsharded
+        batch, one per touched shard of a sharded batch) and dispatched
+        concurrently; when a flush holds more units than workers,
+        compatible units (same planner config and noise flag) share one
+        dispatch, one pickle and IPC round trip for several kernels.
+        ``None`` or ≤ 1 executes inline on the flushing thread.
     execute_backend:
-        ``"thread"`` (default) runs work units on an in-process thread pool;
-        ``"process"`` ships them to worker *processes*
-        (:mod:`repro.engine.parallel`), the only way past the GIL for the
-        scipy-sparse mechanism kernels; ``"adaptive"`` routes each unit
-        per flush — inline, thread pool or process pool — by a measured
-        cost model (EWMA kernel seconds per plan vs observed per-dispatch
-        overhead), so tiny units skip IPC and heavy sharded batches still
-        fan out across cores.  The RNG derivation is identical on every
-        backend, so a seeded engine draws the same noise whichever serves —
-        and ε ledgers never depend on the backend at all.  Ignored unless
-        ``execute_workers`` > 1.
-    execute_cost_model:
-        Optional :class:`~repro.engine.ExecuteCostModel` for the adaptive
-        backend (tests/benchmarks inject primed models to force routing
-        decisions); the default model starts from overhead priors and
-        learns from the served workload.  Ignored by the static backends.
-    execute_fusion:
-        When ``True`` (default), a flush holding more work units than the
-        backend has workers coalesces compatible units (same planner config
-        and noise flag) into fused :class:`~repro.engine.parallel.ExecuteUnitGroup`
-        dispatches — one queue hop / pickle / IPC round trip for several
-        kernels.  Fusion touches dispatch and transport only: every member
-        keeps the RNG child it was dealt before grouping, so a seeded
-        engine's draws and the ε ledgers are byte-identical with fusion on
-        or off.  Ignored unless ``execute_workers`` > 1.
+        ``"process"`` (default) or ``"inline"`` (never a pool, whatever
+        ``execute_workers`` says); anything else raises ``ValueError``.
+        The backend picks the RNG derivation.  *Inline* engines run batches
+        one after another: an unsharded batch draws from the flush stream
+        itself, a sharded batch spawns its per-shard children from it when
+        its turn comes.  *Pooled* engines spawn one child stream per batch
+        up front, and a sharded batch spawns per-shard grandchildren from
+        its child — so a flush's answers depend on batch grouping rather
+        than on submission order.  Per-shard streams follow sorted shard
+        order either way.  Where a unit runs and how units share a
+        dispatch never change the draws, and ε ledgers never depend on the
+        backend at all.  A closed engine flushes inline, with the inline
+        derivation.
     process_start_method:
         ``multiprocessing`` start method of the process backend (default
         ``"spawn"``; ``"fork"`` starts faster but is unsafe with threads).
@@ -357,10 +346,8 @@ class PrivateQueryEngine:
         enable_sharding: bool = True,
         shard_plan_cache_size: int = 16,
         execute_workers: Optional[int] = None,
-        execute_backend: str = "thread",
+        execute_backend: str = "process",
         process_start_method: str = "spawn",
-        execute_cost_model: Optional["ExecuteCostModel"] = None,
-        execute_fusion: bool = True,
         serialize_flush: bool = False,
         observability: Optional[Observability] = None,
         durable_ledger: Optional[str] = None,
@@ -487,7 +474,6 @@ class PrivateQueryEngine:
         # index: [(key, entry), ...]}}.
         self._saved_shard_plans: Dict[str, Dict[int, list]] = {}
         self._pipeline = FlushPipeline(self)
-        self._execute_fusion = bool(execute_fusion)
         # The factorisation store is process-global; binding is idempotent
         # per registry, so several enabled engines share one instrument set.
         if obs.enabled:
@@ -499,7 +485,6 @@ class PrivateQueryEngine:
             # Worker processes preload the served database through the pool
             # initializer, so it never crosses the pipe per dispatch.
             preload=(database,),
-            cost_model=execute_cost_model,
             metrics=obs.metrics if obs.enabled else None,
         )
         # Final telemetry snapshot captured by close() so stats keep
@@ -1016,23 +1001,26 @@ class PrivateQueryEngine:
         self, session, entry, plan, workload, extra_epsilon, label, rng, trace
     ):
         operation = session.charge(label, extra_epsilon, None)
-        unit = ExecuteUnit(
-            plan=plan, workloads=[workload], database=self._database, rng=rng
+        group = ExecuteUnitGroup(
+            units=(
+                ExecuteUnit(
+                    plan=plan, workloads=[workload], database=self._database, rng=rng
+                ),
+            )
         )
-        try:
-            # Shared backend semantics (crashed pool re-raises, closed
-            # backend falls back inline) — see parallel.execute_unit_via.
-            if trace is not None:
-                with trace.span("execute", label=label):
-                    vectors, model = execute_unit_via(self._execute_backend, unit)
-            else:
-                vectors, model = execute_unit_via(self._execute_backend, unit)
-        except Exception as exc:
+        # The flush pipeline's dispatch loop and failure ladder, for one
+        # group of one unit.
+        span = trace.span("execute", label=label) if trace is not None else nullcontext()
+        with span:
+            (done,) = execute_groups(self._execute_backend, [(None, group)])
+        outcome = done.outcomes[0]
+        if outcome[0] == "error":
             # Nothing was released, so the increment must not stand.
             session.accountant.rollback(operation)
             raise MechanismError(
-                f"top_up execution failed (increment rolled back): {exc}"
-            ) from exc
+                f"top_up execution failed (increment rolled back): {outcome[1]}"
+            )
+        _, vectors, model = outcome
         if model is not None and model.num_rows != workload.num_queries:
             # Mis-sized metadata is a mechanism bug, but metadata is
             # advisory (same guard as the pipeline): degrade to the proxy
@@ -1309,16 +1297,13 @@ class PrivateQueryEngine:
                 execute_seconds=self._c_stage["execute"].value,
                 resolve_seconds=self._c_stage["resolve"].value,
             )
-        backend = self._execute_backend
-        if backend is not None:
-            telemetry = self._backend_telemetry(backend)
-        else:
-            # Closed engines flush inline from here on, but the lifetime
-            # telemetry of the backend that served must not read as zeros.
-            telemetry = self._closed_backend_stats
-        if telemetry is not None:
-            for field_name, value in telemetry.items():
-                setattr(snapshot, field_name, value)
+        # Closed engines flush inline from here on, but the lifetime
+        # telemetry of the backend that served must not read as zeros.
+        telemetry = self._closed_backend_stats
+        if telemetry is None:
+            telemetry = self._backend_telemetry(self._execute_backend)
+        for field_name, value in telemetry.items():
+            setattr(snapshot, field_name, value)
         # Plan lookups happen in the engine-level cache AND the per-shard
         # caches (sharded policies plan exclusively through the latter), so
         # the warm-start gauge aggregates both — a cold sharded server must
@@ -1359,9 +1344,9 @@ class PrivateQueryEngine:
     def _backend_telemetry(backend) -> Dict[str, object]:
         """One backend's lifetime counters, keyed by their stats field names.
 
-        Every backend exposes ``name``/``dispatches``/``serialization_seconds``;
-        the blob-protocol and adaptive-routing counters exist only on the
-        backends that pay those costs, so absent attributes honestly read 0.
+        Both backends expose ``name``/``dispatches``/``serialization_seconds``;
+        the blob-protocol counters exist only on the process backend, so on
+        the inline backend they honestly read 0.
         """
         return {
             "execute_backend": backend.name,
@@ -1369,8 +1354,6 @@ class PrivateQueryEngine:
             "serialization_seconds": backend.serialization_seconds,
             "bytes_shipped": getattr(backend, "bytes_shipped", 0),
             "blob_cache_misses": getattr(backend, "blob_cache_misses", 0),
-            "adaptive_inline": getattr(backend, "adaptive_inline", 0),
-            "adaptive_dispatched": getattr(backend, "adaptive_dispatched", 0),
             "pool_respawns": getattr(backend, "pool_respawns", 0),
         }
 
@@ -1402,10 +1385,10 @@ class PrivateQueryEngine:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release engine resources (the execute backend, when present).
+        """Release engine resources (the execute backend's worker pool).
 
-        Worker threads and processes are not reclaimed by garbage
-        collection, so engines built with ``execute_workers=`` should be
+        Worker processes are not reclaimed by garbage collection, so
+        engines built with ``execute_workers=`` should be
         closed (or used as context managers) when discarded.  Sessions,
         caches and the accountant are plain objects and need no teardown;
         the engine remains usable for session bookkeeping after ``close``,
@@ -1419,13 +1402,14 @@ class PrivateQueryEngine:
         snapshotter, self._snapshotter = self._snapshotter, None
         if snapshotter is not None:
             snapshotter.stop(final_snapshot=True)
-        backend, self._execute_backend = self._execute_backend, None
-        if backend is not None:
-            # Provisional snapshot first (stats readers racing the shutdown
-            # must never see zeros), final snapshot after the drain — an
-            # in-flight dispatch can still bump the protocol counters while
-            # close(wait=True) waits for it.
+        backend = self._execute_backend
+        if self._closed_backend_stats is None:
+            # Provisional snapshot before the swap (stats readers racing the
+            # shutdown must never see zeros), final snapshot after the
+            # drain — an in-flight dispatch can still bump the protocol
+            # counters while close(wait=True) waits for it.
             self._closed_backend_stats = self._backend_telemetry(backend)
+            self._execute_backend = INLINE_BACKEND
             backend.close(wait=True)
             self._closed_backend_stats = self._backend_telemetry(backend)
         self._observability.close()
@@ -1441,7 +1425,7 @@ class PrivateQueryEngine:
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         backend = getattr(self, "_execute_backend", None)
-        if backend is not None:
+        if backend is not None:  # None when __init__ failed before building it
             backend.close(wait=False)
 
     def _spawn_flush_rng(self) -> np.random.Generator:

@@ -1,49 +1,51 @@
-"""Execute-stage worker backends: thread pool, **process pool**, adaptive router.
+"""Execute-stage backends: **inline** on the flushing thread, or a **process pool**.
 
 The staged pipeline (:mod:`repro.engine.pipeline`) made flushes overlap, but
 in one process the GIL still bounds the execute stage: the scipy-sparse
-mechanism kernels hold it, so thread workers buy concurrency, not CPU
-parallelism.  This module runs the execute stage across **cores** instead,
-following the hybrid-engine separation of serving and analytical resources:
-mechanism execution is cut into :class:`ExecuteUnit` work units — one per
-unsharded batch, one per touched :class:`~repro.engine.DomainShard` of a
-sharded batch (shard databases are small and independent) — and a backend
-runs them on a pool.
+mechanism kernels hold it.  This module runs the execute stage across
+**cores** instead, following the hybrid-engine separation of serving and
+analytical resources: mechanism execution is cut into :class:`ExecuteUnit`
+work units — one per unsharded batch, one per touched
+:class:`~repro.engine.DomainShard` of a sharded batch (shard databases are
+small and independent) — and every dispatch is an :class:`ExecuteUnitGroup`
+of one or more units (a lone unit is a group of one).
 
-Three backends share one contract — ``submit(unit) -> future-like`` whose
-``result()`` yields ``(List[ndarray], Optional[NoiseModel])``, the
-per-workload answer vectors plus the invocation's honest noise metadata
-(which pickles, so it survives the process round trip byte-identically):
+Two backends share one contract — ``submit_group(group) -> handle`` whose
+``result()`` yields one outcome per member, ``("ok", vectors, model)`` or
+``("error", message)``, with the per-workload answer vectors plus the
+invocation's honest noise metadata (which pickles, so it survives the
+process round trip byte-identically):
 
-* :class:`ThreadExecuteBackend` — the in-process pool.  No serialisation;
-  units execute on shared objects.
+* :class:`InlineExecuteBackend` — runs the group on the calling thread.
+  Engines without a pool use it, pooled engines use it for a lone unit
+  (the pool buys overlap between units; one unit only pays its overhead),
+  and closed engines fall back to it.
 * :class:`ProcessExecuteBackend` — a ``ProcessPoolExecutor`` speaking a
   **miss-only blob protocol**: plans and databases are addressed by content
   digest, workers hold a digest-keyed *resident cache* (preloaded through
   the pool initializer with the engine database and every plan known at
   pool start), and a steady-state dispatch ships only ``(digest, digest,
-  workloads + RNG child)`` — never the blobs themselves.  A worker that
-  lacks a digest (fresh plan raced to a cold worker, or a respawned worker
-  that lost its cache) answers with a miss sentinel and the parent
-  resubmits that one unit with the full blobs, which also repopulates the
-  worker.  Shipped bytes, cache misses and parent-side serialisation time
-  are all observable (:attr:`bytes_shipped`, :attr:`blob_cache_misses`,
-  :attr:`serialization_seconds`, surfaced via
+  workloads + RNG child)`` per member — never the blobs themselves.  A
+  worker that lacks a digest (fresh plan raced to a cold worker, or a
+  respawned worker that lost its cache) answers with a miss sentinel and
+  the parent resubmits that one group with the full blobs, which also
+  repopulates the worker.  Shipped bytes, cache misses and parent-side
+  serialisation time are all observable (:attr:`bytes_shipped`,
+  :attr:`blob_cache_misses`, :attr:`serialization_seconds`, surfaced via
   :class:`~repro.engine.EngineStats`).
-* :class:`AdaptiveExecuteBackend` — a cost-aware router over an inline
-  path, a thread pool and a process pool.  An :class:`ExecuteCostModel`
-  keeps an EWMA of per-plan-key kernel seconds and of each pool's observed
-  per-dispatch overhead (serialisation + IPC + future round trip); each
-  unit then runs wherever it is cheapest — tiny units inline on the
-  flushing thread, heavy multi-unit flushes fanned out to processes.
 
-Determinism: the backends never touch the noise stream — the pipeline spawns
-one RNG child per work unit with the **same derivation on every backend**, so
-a seeded engine produces identical draws under ``execute_backend="thread"``,
-``"process"`` and ``"adaptive"`` (and byte-identical ε ledgers, which never
-depend on the backend at all: charges happen before execution).  Routing and
-the blob protocol only decide *where* a unit runs and *what crosses the
-pipe*; the unit's RNG child is fixed before either.
+:func:`execute_groups` is the one dispatch loop on top of both: it submits
+every group before awaiting any, and maps every failure — crashed pool,
+closed backend, unpicklable payload, failing kernel — onto per-member error
+outcomes.  The flush pipeline and ``engine.top_up`` both use it.
+
+Determinism: the backends never touch the noise stream — every unit carries
+the RNG the pipeline dealt it before dispatch, so where a unit runs, how it
+is grouped and whether its blobs missed never change its draws.  The
+pipeline has two derivations (see :meth:`FlushPipeline._execute_batches
+<repro.engine.pipeline.FlushPipeline._execute_batches>`), chosen by whether
+the engine's current backend is inline or pooled; ε ledgers never depend on
+the backend at all (charges happen before execution).
 
 Worker processes default to the ``spawn`` start method: ``fork`` from an
 engine that already runs flusher/worker threads can clone held locks into
@@ -62,14 +64,9 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,14 +80,14 @@ from .signature import PlanKey
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "AdaptiveExecuteBackend",
-    "ExecuteCostModel",
     "ExecuteUnit",
     "ExecuteUnitGroup",
+    "GroupResult",
+    "INLINE_BACKEND",
+    "InlineExecuteBackend",
     "ProcessExecuteBackend",
-    "ThreadExecuteBackend",
     "create_execute_backend",
-    "execute_unit_via",
+    "execute_groups",
     "run_unit",
     "run_unit_group",
 ]
@@ -100,11 +97,11 @@ __all__ = [
 class ExecuteUnit:
     """One shippable slice of the execute stage.
 
-    A unit is the quadruple the tentpole names — ``(plan, sub-histogram, ε,
-    RNG seed)``: the plan carries its ε in the key, ``database`` is the full
-    histogram for unsharded batches or the projected shard histogram for
-    per-shard units, and ``rng`` is the unit's own spawned child stream
-    (never shared between units).
+    A unit is the quadruple ``(plan, sub-histogram, ε, RNG)``: the plan
+    carries its ε in the key, ``database`` is the full histogram for
+    unsharded batches or the projected shard histogram for per-shard units,
+    and ``rng`` is the stream the unit draws from (dealt by the pipeline
+    before dispatch).
     """
 
     plan: CachedPlan
@@ -126,15 +123,14 @@ def run_unit(
 ) -> Tuple[List[np.ndarray], Optional["NoiseModel"]]:
     """Execute one unit: one vectorised mechanism invocation.
 
-    Shared by every backend (and by the worker-process side), so thread and
+    Shared by both backends (and by the worker-process side), so inline and
     process execution run byte-for-byte the same code on the same inputs.
     Returns the per-workload answer vectors plus the invocation's
     :class:`~repro.mechanisms.base.NoiseModel` (``None`` when the mechanism
     cannot state its noise honestly, or when ``want_noise`` is off) — the
     metadata pickles, so it survives the process-pool round trip
-    identically to the thread backend.  The noise draw itself never depends
-    on ``want_noise``: the model is computed after the answers, from the
-    workload alone.
+    identically.  The noise draw itself never depends on ``want_noise``:
+    the model is computed after the answers, from the workload alone.
     """
     algorithm = plan.plan.algorithm
     if len(workloads) == 1:
@@ -152,64 +148,18 @@ def run_unit(
     return [np.asarray(vector, dtype=np.float64) for vector in vectors], model
 
 
-def execute_unit_via(backend, unit: ExecuteUnit) -> Tuple[List[np.ndarray], Optional[NoiseModel]]:
-    """Run one unit on ``backend``, with the engine-close inline fallback.
-
-    Mirrors the pipeline's per-unit failure semantics for blocking
-    single-unit callers (``engine.top_up``).  The pipeline itself keeps its
-    own split submit/drain loops — it overlaps many units and layers batch
-    rollback bookkeeping on top — so changes to these semantics must be
-    applied in both places (`pipeline._execute_on_backend`):
-
-    * ``backend is None`` — execute inline on the calling thread;
-    * ``submit`` raising :class:`BrokenExecutor` — the pool *crashed*
-      (caught before its ``RuntimeError`` superclass): re-raise, never
-      re-run inline — if the unit itself killed a worker, an inline retry
-      could take the serving process down with it;
-    * ``submit`` raising any other ``RuntimeError`` — the backend was
-      closed (engine shutdown mid-call): finish inline so the paid-for
-      release still happens;
-    * anything raised by the unit's own execution (from ``result()`` or
-      the inline run, whatever the type) propagates to the caller, which
-      rolls the charge back.
-
-    An adaptive backend routes the lone unit by its cost model (a single
-    unit has no pool overlap to buy, so it lands inline in practice) — the
-    draws are identical either way, because the unit's RNG is fixed by the
-    caller.
-    """
-    if backend is not None:
-        try:
-            future = backend.submit(unit)
-        except BrokenExecutor:
-            raise
-        except RuntimeError:
-            logger.warning(
-                "execute backend closed mid-call; finishing unit for plan "
-                "%s inline on the calling thread",
-                unit.plan.key,
-            )
-            future = None
-        if future is not None:
-            return future.result()
-    return run_unit(
-        unit.plan, unit.workloads, unit.database, unit.rng, unit.want_noise
-    )
-
-
 @dataclass(frozen=True)
 class ExecuteUnitGroup:
-    """Several compatible units fused into **one** backend dispatch.
+    """One backend dispatch: one or more compatible units.
 
-    Fusion coalesces *dispatch and transport only* — queue hops, pickles,
+    Grouping coalesces *dispatch and transport only* — queue hops, pickles,
     IPC round trips, future bookkeeping — never the mechanism math: inside
     the group each member unit still runs its own stacked ``answer_batch``
-    kernel with its **own** RNG child (spawned by the pipeline in sorted
-    shard order *before* any grouping), in member order.  Seeded draws and
-    ε ledgers are therefore byte-identical to ungrouped execution; only the
-    per-unit dispatch overhead disappears.  Members are compatible when
-    they share a planner config (same ε and planning flags in their plan
-    keys) and the same ``want_noise``.
+    kernel with its **own** RNG (dealt by the pipeline *before* any
+    grouping), in member order.  Seeded draws and ε ledgers are therefore
+    byte-identical however units are grouped.  The pipeline only fuses
+    members that share a planner config (same ε and planning flags in their
+    plan keys) and the same ``want_noise``.
     """
 
     units: Tuple[ExecuteUnit, ...]
@@ -218,24 +168,22 @@ class ExecuteUnitGroup:
         return len(self.units)
 
 
-#: One fused member's outcome: ``("ok", vectors, model)`` or
-#: ``("error", message)``.  Errors are carried per member (not raised), so a
-#: failing unit rolls back only its own batch — identical semantics to
-#: per-unit dispatch — and the tuple form pickles across the process pool.
+#: One member's outcome: ``("ok", vectors, model)`` or ``("error",
+#: message)``.  Errors are carried per member (not raised), so a failing
+#: unit rolls back only its own batch, and the tuple form pickles across the
+#: process pool.
 GroupOutcome = Tuple
 
 
 def run_unit_group(
     group: ExecuteUnitGroup,
 ) -> Tuple[List[GroupOutcome], List[Optional[float]]]:
-    """Run a fused group's members back-to-back on the calling thread.
+    """Run a group's members back-to-back on the calling thread.
 
-    Shared by every backend (inline fallback, thread pool, worker process),
-    so fused execution is byte-for-byte the same code everywhere.  Returns
+    Shared by both backends (the inline backend, a worker process), so
+    grouped execution is byte-for-byte the same code everywhere.  Returns
     per-member outcomes plus per-member kernel seconds (``None`` for a
-    member that raised) — the split the dispatcher hands back to the
-    pipeline, which reassembles answers, noise models and kernel-seconds
-    observations exactly as if each unit had been dispatched alone.
+    member that raised).
     """
     outcomes: List[GroupOutcome] = []
     kernels: List[Optional[float]] = []
@@ -254,223 +202,144 @@ def run_unit_group(
     return outcomes, kernels
 
 
-class _GroupHandle:
-    """Future-like handle for fused dispatches on in-process pools.
+class _CompletedGroup:
+    """Handle of a group that already ran on the calling thread."""
 
-    ``result()`` yields the per-member outcome list; per-member kernel
-    seconds and any protocol hops ride along afterwards
-    (:attr:`kernel_seconds_list`, :attr:`protocol_hops`), mirroring the
-    per-unit dispatch attributes the pipeline's observability reads.
+    __slots__ = ("_outcomes", "kernel_seconds_list", "protocol_hops")
+
+    def __init__(self, outcomes, kernels, hops: Sequence[dict] = ()) -> None:
+        self._outcomes = outcomes
+        self.kernel_seconds_list: List[Optional[float]] = kernels
+        self.protocol_hops: List[dict] = list(hops)
+
+    def result(self, timeout: Optional[float] = None) -> List[GroupOutcome]:
+        return self._outcomes
+
+
+class InlineExecuteBackend:
+    """Run every group on the calling thread — no pool, no serialisation.
+
+    Stateless, so one shared instance (:data:`INLINE_BACKEND`) serves every
+    inline engine, every lone unit of a pooled flush and every closed
+    engine.
     """
 
-    __slots__ = ("_future", "_resolved", "kernel_seconds_list", "protocol_hops")
+    name = "inline"
+    #: Telemetry of a backend that never dispatches.
+    dispatches = 0
+    serialization_seconds = 0.0
 
-    def __init__(self, future) -> None:
-        self._future = future
-        self._resolved: Optional[list] = None
-        self.kernel_seconds_list: Optional[List[Optional[float]]] = None
-        self.protocol_hops: List[dict] = []
+    def submit_group(self, group: ExecuteUnitGroup) -> _CompletedGroup:
+        """Run ``group`` now; the handle is already resolved."""
+        outcomes, kernels = run_unit_group(group)
+        return _CompletedGroup(outcomes, kernels)
 
-    @classmethod
-    def resolved(cls, outcomes, kernels, span: Optional[dict] = None) -> "_GroupHandle":
-        future: Future = Future()
-        future.set_result((outcomes, kernels, span))
-        return cls(future)
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self, timeout: Optional[float] = None):
-        if self._resolved is not None:
-            return self._resolved
-        outcomes, kernels, span = self._future.result(timeout)
-        self.kernel_seconds_list = kernels
-        if span is not None:
-            self.protocol_hops.append(dict(span))
-        self._resolved = outcomes
-        return outcomes
+    def close(self, wait: bool = True) -> None:
+        """Nothing to release."""
 
 
-# ---------------------------------------------------------------------------
-# Cost model.
-# ---------------------------------------------------------------------------
-class ExecuteCostModel:
-    """EWMA cost model driving the adaptive backend's per-unit routing.
+INLINE_BACKEND = InlineExecuteBackend()
 
-    Two families of observations feed it:
 
-    * **kernel seconds** per plan key — how long one mechanism invocation
-      under that plan actually takes, measured wherever the unit ran
-      (inline, thread worker, or inside the worker process — the process
-      protocol ships the measurement back with the answers);
-    * **per-dispatch overhead** per pool — everything a dispatch pays on
-      top of the kernel: serialisation, IPC, queueing and the future round
-      trip, measured parent-side as (round-trip wall-clock − kernel
-      seconds).
+@dataclass(frozen=True)
+class GroupResult:
+    """What :func:`execute_groups` yields for one submitted group."""
 
-    Until a pool has been observed its overhead starts from a prior
-    (processes cost milliseconds, threads tens of microseconds), so the
-    router is usable from the first flush; until a *plan* has been observed
-    its units run inline — the observation itself then seeds the estimate.
-    ``default_kernel_seconds`` overrides that bootstrap for tests and
-    benchmarks that need decisions forced in a known direction.
+    #: The caller's tag for the group, passed through untouched.
+    tag: object
+    #: One outcome per member, in member order.
+    outcomes: List[GroupOutcome]
+    #: Per-member kernel seconds (``None`` where unknown or failed).
+    kernels: List[Optional[float]]
+    #: Protocol hops of the group's dispatch(es): worker spans, blob-miss
+    #: round trips, closed-pool inline runs.
+    hops: List[dict]
+    #: Epoch wall-clock at which the group was submitted.
+    submitted: float
 
-    **Warm-up discount** (``warmup_discount``, default on): a plan's first
-    invocation absorbs one-off lazy work — the Gram/SuperLU factorisation
-    the data-dependent strategies build on first contact — so the first
-    kernel sample over-states every later one, sometimes by an order of
-    magnitude, and the EWMA then over-routes the plan to the process pool
-    until enough samples wash the spike out.  The first sample therefore
-    only *provisionally* seeds the estimate (the router needs something),
-    and the second sample — the first warm one — **replaces** it outright
-    instead of blending; EWMA smoothing starts from the third sample.
 
-    Overhead observations include honest congestion (queue wait behind
-    sibling units), which can transiently poison the estimate high — and a
-    pool the router then avoids would never be re-measured.  Two guards
-    keep routing from sticking: the dispatch that *created* the lazy
-    process pool is never observed (worker spawn is a one-off, not a
-    per-dispatch cost), and every inline routing decision decays the
-    overhead estimates a small step back toward their priors
-    (``prior_reversion``), so an avoided pool is eventually retried and
-    re-measured.
+def _submit(backend, group: ExecuteUnitGroup) -> List[Tuple[int, object]]:
+    """Submit one group: ``[(member count, handle or error message), ...]``.
 
-    All methods are thread-safe: concurrent flushes observe and route
-    through one shared model.
+    The submit half of the execute stage's failure ladder:
+
+    * :class:`BrokenExecutor` — the pool *crashed* (caught before its
+      ``RuntimeError`` superclass): every member fails, and nothing is
+      re-run inline — if a unit killed its worker, an inline retry could
+      take the serving process down with it;
+    * any other ``RuntimeError`` — the backend was closed (engine shutdown
+      mid-call, or a spent respawn budget): run the group inline, so the
+      paid-for release still happens;
+    * anything else (a plan or payload that will not pickle) — a group of
+      one fails; a larger group is resubmitted member by member, so only
+      the offending unit's batch rolls back.
     """
-
-    def __init__(
-        self,
-        alpha: float = 0.25,
-        thread_overhead_prior: float = 2e-4,
-        process_overhead_prior: float = 4e-3,
-        dispatch_margin: float = 2.0,
-        default_kernel_seconds: Optional[float] = None,
-        prior_reversion: float = 0.02,
-        warmup_discount: bool = True,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if dispatch_margin < 1.0:
-            raise ValueError(
-                f"dispatch_margin must be >= 1 (dispatch only when the kernel "
-                f"clearly dominates the overhead), got {dispatch_margin}"
-            )
-        if not 0.0 <= prior_reversion <= 1.0:
-            raise ValueError(
-                f"prior_reversion must be in [0, 1], got {prior_reversion}"
-            )
-        self._alpha = float(alpha)
-        self._margin = float(dispatch_margin)
-        self._default_kernel = (
-            float(default_kernel_seconds)
-            if default_kernel_seconds is not None
-            else None
+    try:
+        return [(len(group), backend.submit_group(group))]
+    except BrokenExecutor as exc:
+        return [(len(group), f"execute worker pool broke: {exc}")]
+    except RuntimeError:
+        logger.warning(
+            "execute backend closed mid-call; finishing %d unit(s) inline on "
+            "the calling thread",
+            len(group),
         )
-        self._reversion = float(prior_reversion)
-        self._warmup_discount = bool(warmup_discount)
-        self._lock = threading.Lock()
-        self._kernels: Dict[PlanKey, float] = {}
-        #: Plan keys whose only sample so far is the (factorisation-tainted)
-        #: first one — the next observation replaces rather than blends.
-        self._warming: set = set()
-        self._overhead_priors: Dict[str, float] = {
-            "thread": float(thread_overhead_prior),
-            "process": float(process_overhead_prior),
-        }
-        self._overheads: Dict[str, float] = dict(self._overhead_priors)
+        return [(len(group), INLINE_BACKEND.submit_group(group))]
+    except Exception as exc:
+        if len(group) == 1:
+            return [(1, str(exc))]
+        logger.debug(
+            "grouped dispatch of %d units failed (%s); resubmitting its "
+            "members one by one",
+            len(group),
+            exc,
+        )
+        return [
+            part
+            for unit in group.units
+            for part in _submit(backend, ExecuteUnitGroup(units=(unit,)))
+        ]
 
-    # ----------------------------------------------------------- observations
-    def observe_kernel(self, plan_key: PlanKey, seconds: float) -> None:
-        """Fold one measured kernel wall-clock into the plan key's EWMA.
 
-        With ``warmup_discount`` on, the first sample seeds the estimate
-        provisionally and the second sample replaces it (see the class
-        docstring); blending starts from the third.
-        """
-        seconds = max(0.0, float(seconds))
-        with self._lock:
-            current = self._kernels.get(plan_key)
-            if current is None:
-                self._kernels[plan_key] = seconds
-                if self._warmup_discount:
-                    self._warming.add(plan_key)
-            elif plan_key in self._warming:
-                self._warming.discard(plan_key)
-                self._kernels[plan_key] = seconds
+def execute_groups(
+    backend, groups: Iterable[Tuple[object, ExecuteUnitGroup]]
+) -> Iterator[GroupResult]:
+    """Dispatch ``(tag, group)`` pairs on ``backend``; yield one result each.
+
+    The one dispatch loop of the execute stage, shared by the flush
+    pipeline and ``engine.top_up``.  Every group is submitted before any
+    result is awaited, so pooled groups overlap; ``groups`` is consumed
+    lazily, so an inline caller may build each batch's units only after the
+    previous batch ran.  Failures never raise: they come back as
+    ``("error", message)`` outcomes of the members they hit (see
+    :func:`_submit` for the submit half; a handle whose ``result()`` raises
+    fails all its members; a failing kernel fails its member alone), and
+    the caller rolls the matching charges back.
+    """
+    pending = [
+        (tag, group, time.time(), _submit(backend, group)) for tag, group in groups
+    ]
+    for tag, group, submitted, parts in pending:
+        outcomes: List[GroupOutcome] = []
+        kernels: List[Optional[float]] = []
+        hops: List[dict] = []
+        for size, handle in parts:
+            got: Optional[list] = None
+            if isinstance(handle, str):
+                error = handle
             else:
-                self._kernels[plan_key] = (
-                    self._alpha * seconds + (1.0 - self._alpha) * current
-                )
-
-    def observe_overhead(self, backend_name: str, seconds: float) -> None:
-        """Fold one measured per-dispatch overhead into the pool's EWMA."""
-        seconds = max(0.0, float(seconds))
-        with self._lock:
-            current = self._overheads.get(backend_name)
-            self._overheads[backend_name] = (
-                seconds
-                if current is None
-                else self._alpha * seconds + (1.0 - self._alpha) * current
-            )
-
-    # -------------------------------------------------------------- estimates
-    def kernel_seconds(self, plan_key: PlanKey) -> Optional[float]:
-        """Estimated kernel seconds for one invocation under ``plan_key``.
-
-        ``None`` means "never observed" (and no default configured) — the
-        router then runs the unit inline to take the first measurement.
-        """
-        with self._lock:
-            estimate = self._kernels.get(plan_key)
-        return estimate if estimate is not None else self._default_kernel
-
-    def overhead_seconds(self, backend_name: str) -> float:
-        """Estimated per-dispatch overhead of ``backend_name`` (prior or EWMA)."""
-        with self._lock:
-            return self._overheads.get(backend_name, 0.0)
-
-    # ---------------------------------------------------------------- routing
-    def route(self, plan_key: PlanKey, flush_units: int) -> str:
-        """Where one unit of a ``flush_units``-unit flush should run.
-
-        Returns ``"inline"``, ``"thread"`` or ``"process"``.  A lone unit
-        always runs inline (the pool buys overlap between units; with one
-        unit there is nothing to overlap, only overhead to pay), an
-        unobserved plan runs inline to seed its estimate, and otherwise the
-        kernel estimate must beat ``dispatch_margin ×`` a pool's overhead
-        to be dispatched there — processes preferred (they alone escape the
-        GIL), threads as the cheap fallback for mid-weight units.
-        """
-        if flush_units <= 1:
-            return "inline"
-        estimate = self.kernel_seconds(plan_key)
-        if estimate is None:
-            return "inline"
-        if estimate >= self._margin * self.overhead_seconds("process"):
-            return "process"
-        if estimate >= self._margin * self.overhead_seconds("thread"):
-            return "thread"
-        # Routing inline means the pools go unmeasured: decay their
-        # overhead estimates a step toward the priors so a congestion
-        # spike cannot lock the router out of a now-idle pool forever.
-        if self._reversion > 0.0:
-            with self._lock:
-                for name, prior in self._overhead_priors.items():
-                    current = self._overheads.get(name, prior)
-                    self._overheads[name] = current + self._reversion * (
-                        prior - current
-                    )
-        return "inline"
-
-    def snapshot(self) -> dict:
-        """Debug/benchmark view: current estimates, keyed by plan key string."""
-        with self._lock:
-            return {
-                "kernel_seconds": {str(key): value for key, value in self._kernels.items()},
-                "overhead_seconds": dict(self._overheads),
-                "dispatch_margin": self._margin,
-            }
+                try:
+                    got = handle.result()
+                except Exception as exc:
+                    error = str(exc)
+                hops.extend(handle.protocol_hops)
+            if got is None:
+                outcomes.extend([("error", error)] * size)
+                kernels.extend([None] * size)
+            else:
+                outcomes.extend(got)
+                kernels.extend(handle.kernel_seconds_list or [None] * size)
+        yield GroupResult(tag, outcomes, kernels, hops, submitted)
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +362,11 @@ def _blob_digest(blob: bytes) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-class _PlanSerialisationError(Exception):
-    """The *plan* itself cannot be pickled for the process boundary.
-
-    Distinguished from per-unit payload failures (an unpicklable workload,
-    say) so the adaptive router blacklists only plans that can genuinely
-    never cross — a bad payload must not demote every later unit of an
-    innocent plan to the thread pool.
-    """
-
-
 @dataclass(frozen=True)
 class _BlobMiss:
     """Worker → parent sentinel: these digests are not resident here.
 
-    The worker returns it *before* touching the unit's RNG payload, so the
+    The worker returns it *before* touching the group's RNG payload, so the
     parent's resubmission (with full blobs) draws exactly the noise the
     first attempt would have drawn.
     """
@@ -555,54 +414,11 @@ def _resident_get(digest: str, blob: Optional[bytes]):
     return obj
 
 
-def _execute_shipped(
-    plan_digest: str,
-    plan_blob: Optional[bytes],
-    db_digest: str,
-    db_blob: Optional[bytes],
-    payload_blob: bytes,
-):
-    """Worker entry point of the miss-only protocol.
-
-    Recalls (or re-hydrates) the plan and database by digest, then runs the
-    unit.  When a digest is neither resident nor shipped, returns a
-    :class:`_BlobMiss` **without running anything** — the parent resubmits
-    with full blobs, and because the RNG payload was never unpickled here,
-    the retry draws identical noise.  Successful runs return ``(vectors,
-    model, kernel_seconds, span)``: the kernel wall-clock feeds the
-    parent-side cost model, and the span — the kernel's boundaries on the
-    epoch clock both processes share, stamped with the worker pid — lets
-    the parent's tracer nest the worker-measured execution under its own
-    unit span (the PR 5 kernel-seconds return channel, extended).
-    """
-    plan = _resident_get(plan_digest, plan_blob)
-    database = _resident_get(db_digest, db_blob)
-    missing = []
-    if plan is None:
-        missing.append("plan")
-    if database is None:
-        missing.append("database")
-    if missing:
-        return _BlobMiss(tuple(missing))
-    workloads, rng, want_noise = pickle.loads(payload_blob)
-    wall_started = time.time()
-    started = time.perf_counter()
-    vectors, model = run_unit(plan, workloads, database, rng, want_noise)
-    kernel = time.perf_counter() - started
-    span = {
-        "kind": "worker",
-        "pid": os.getpid(),
-        "start": wall_started,
-        "end": wall_started + kernel,
-    }
-    return vectors, model, kernel, span
-
-
 def _execute_shipped_group(
     members: Tuple[Tuple[str, Optional[bytes], str, Optional[bytes]], ...],
     payload_blob: bytes,
 ):
-    """Worker entry point for a fused group: one hop, many kernels.
+    """Worker entry point of the miss-only protocol: one hop, many kernels.
 
     ``members`` carries ``(plan digest, plan blob?, db digest, db blob?)``
     per member.  Residency of **every** digest is checked (and shipped blobs
@@ -611,8 +427,10 @@ def _execute_shipped_group(
     consuming anything — the parent's full-blob resubmission then draws
     exactly the noise this attempt would have.  Successful runs return
     ``(outcomes, kernels, span)``: per-member outcome tuples and kernel
-    wall-clocks (split back per unit by the parent) under one group-wide
-    worker span.
+    wall-clocks under one group-wide worker span — the kernels' boundaries
+    on the epoch clock both processes share, stamped with the worker pid,
+    so the parent's tracer can nest the worker-measured execution under
+    its own unit span.
     """
     resolved: Dict[str, object] = {}
     missing: List[str] = []
@@ -626,30 +444,22 @@ def _execute_shipped_group(
                 missing.append(digest)
     if missing:
         return _BlobMiss(tuple(missing))
-    payloads = pickle.loads(payload_blob)
-    wall_started = time.time()
-    outcomes: List[tuple] = []
-    kernels: List[Optional[float]] = []
-    for (plan_digest, _, db_digest, _), (workloads, rng, want_noise) in zip(
-        members, payloads
-    ):
-        started = time.perf_counter()
-        try:
-            vectors, model = run_unit(
-                resolved[plan_digest], workloads, resolved[db_digest], rng, want_noise
+    group = ExecuteUnitGroup(
+        units=tuple(
+            ExecuteUnit(resolved[plan_digest], workloads, resolved[db_digest], rng, want_noise)
+            for (plan_digest, _, db_digest, _), (workloads, rng, want_noise) in zip(
+                members, pickle.loads(payload_blob)
             )
-        except Exception as exc:
-            outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
-            kernels.append(None)
-        else:
-            outcomes.append(("ok", vectors, model))
-            kernels.append(time.perf_counter() - started)
+        )
+    )
+    wall_started = time.time()
+    outcomes, kernels = run_unit_group(group)
     span = {
         "kind": "worker",
         "pid": os.getpid(),
         "start": wall_started,
         "end": time.time(),
-        "fused_units": len(members),
+        "units": len(members),
     }
     return outcomes, kernels, span
 
@@ -675,264 +485,49 @@ def _worker_factorisation_stats() -> dict:
     }
 
 
+
 # ---------------------------------------------------------------------------
-# Backends.
+# Process backend.
 # ---------------------------------------------------------------------------
-class ThreadExecuteBackend:
-    """Execute units on an in-process thread pool (concurrency, shared GIL)."""
-
-    name = "thread"
-    #: Pipeline hint: this backend accepts fused :class:`ExecuteUnitGroup`
-    #: dispatches via :meth:`submit_group`.
-    fuses_units = True
-
-    def __init__(
-        self,
-        max_workers: int,
-        observe: Optional[Callable[[PlanKey, float, float], None]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self._max_workers = int(max_workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=int(max_workers),
-            thread_name_prefix="repro-engine-execute",
-        )
-        self._counter_lock = threading.Lock()
-        self._dispatches = 0
-        #: Optional cost-model hook, ``observe(plan_key, kernel_seconds,
-        #: dispatch_overhead_seconds)`` — wired by the adaptive backend.
-        self._observe = observe
-        self._queue_wait = (
-            metrics.histogram(
-                "engine_execute_queue_wait_seconds",
-                "Wait between unit submission and a worker slot starting it",
-                backend=self.name,
-            )
-            if metrics is not None
-            else None
-        )
-
-    @property
-    def dispatches(self) -> int:
-        """Number of work units handed to the pool so far."""
-        with self._counter_lock:
-            return self._dispatches
-
-    @property
-    def serialization_seconds(self) -> float:
-        """Always zero: units execute in-process on shared objects."""
-        return 0.0
-
-    @property
-    def fusion_slots(self) -> int:
-        """Pool width the pipeline balances fused groups across."""
-        return self._max_workers
-
-    def _run_observed(self, unit: ExecuteUnit, submitted_at: float):
-        # Queue wait is the thread pool's whole dispatch overhead: there is
-        # no serialisation and no IPC, only waiting for a worker slot.
-        waited = time.perf_counter() - submitted_at
-        if self._queue_wait is not None:
-            self._queue_wait.observe(waited)
-        started = time.perf_counter()
-        result = run_unit(
-            unit.plan, unit.workloads, unit.database, unit.rng, unit.want_noise
-        )
-        if self._observe is not None:
-            self._observe(unit.plan.key, time.perf_counter() - started, waited)
-        return result
-
-    def submit(self, unit: ExecuteUnit) -> "Future[Tuple[List[np.ndarray], Optional[NoiseModel]]]":
-        """Schedule one unit; raises ``RuntimeError`` once closed."""
-        if self._observe is not None or self._queue_wait is not None:
-            future = self._pool.submit(self._run_observed, unit, time.perf_counter())
-        else:
-            future = self._pool.submit(
-                run_unit,
-                unit.plan,
-                unit.workloads,
-                unit.database,
-                unit.rng,
-                unit.want_noise,
-            )
-        with self._counter_lock:
-            self._dispatches += 1
-        return future
-
-    def _run_group(self, group: ExecuteUnitGroup, submitted_at: float):
-        waited = time.perf_counter() - submitted_at
-        if self._queue_wait is not None:
-            self._queue_wait.observe(waited)
-        outcomes, kernels = run_unit_group(group)
-        if self._observe is not None:
-            for index, (unit, kernel) in enumerate(zip(group.units, kernels)):
-                if kernel is not None:
-                    # The group's single queue wait is the whole dispatch
-                    # overhead; attributing it once keeps the cost model's
-                    # per-dispatch EWMA honest about what fusion amortises.
-                    self._observe(unit.plan.key, kernel, waited if index == 0 else 0.0)
-        return outcomes, kernels, None
-
-    def submit_group(self, group: ExecuteUnitGroup) -> _GroupHandle:
-        """Schedule one fused group as a single pool task.
-
-        The members run back-to-back on one worker thread — one queue hop
-        instead of ``len(group)`` — each on its own RNG child, so answers
-        are bit-identical to per-unit submission.
-        """
-        future = self._pool.submit(self._run_group, group, time.perf_counter())
-        with self._counter_lock:
-            self._dispatches += 1
-        return _GroupHandle(future)
-
-    def close(self, wait: bool = True) -> None:
-        """Shut the pool down; subsequent submits raise ``RuntimeError``."""
-        self._pool.shutdown(wait=wait)
-
-
-class _ProcessDispatch:
-    """Future-like handle hiding the miss-only blob protocol from callers.
-
-    ``result()`` transparently recovers a worker-side blob miss (resubmit
-    with full blobs) and strips the protocol's kernel-seconds measurement
-    before handing ``(vectors, model)`` to the caller — so the pipeline and
-    ``execute_unit_via`` treat process dispatches exactly like thread
-    futures.
-
-    The protocol's observability rides along after resolution:
-    :attr:`kernel_seconds` is the worker-measured kernel wall-clock and
-    :attr:`protocol_hops` the unit's cross-process itinerary — one dict per
-    hop (``kind`` of ``"blob-miss"``, ``"worker"`` or ``"inline"``, with
-    epoch-clock ``start``/``end``), so a recovered blob miss reports *both*
-    hops: the refused round trip and the execution that followed.
-    """
-
-    __slots__ = (
-        "_backend",
-        "_unit",
-        "_future",
-        "_submitted_at",
-        "_submitted_wall",
-        "_done_at",
-        "_observe",
-        "_resolved",
-        "kernel_seconds",
-        "protocol_hops",
-    )
-
-    def __init__(
-        self,
-        backend: "ProcessExecuteBackend",
-        unit: ExecuteUnit,
-        future,
-        submitted_at: float,
-        observe: bool = True,
-    ) -> None:
-        self._backend = backend
-        self._unit = unit
-        self._future = future
-        self._submitted_at = submitted_at
-        self._submitted_wall = time.time()
-        self._done_at: Optional[float] = None
-        #: False for the dispatch that created the lazy pool: its round
-        #: trip absorbs worker spawn (a one-off), which must not poison the
-        #: cost model's per-dispatch overhead EWMA.
-        self._observe = observe
-        self._resolved: Optional[tuple] = None
-        self.kernel_seconds: Optional[float] = None
-        self.protocol_hops: List[dict] = []
-        future.add_done_callback(self._stamp_done)
-
-    def _stamp_done(self, _future) -> None:
-        self._done_at = time.perf_counter()
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self, timeout: Optional[float] = None):
-        # Idempotent like a real Future: the raw future keeps holding the
-        # _BlobMiss sentinel after a recovery, so a second result() call
-        # must serve the recovered value instead of re-running the unit.
-        if self._resolved is not None:
-            return self._resolved
-        value = self._backend._await_future(self._future, timeout)
-        if isinstance(value, _BlobMiss):
-            self.protocol_hops.append(
-                {
-                    "kind": "blob-miss",
-                    "missing": list(value.missing),
-                    "start": self._submitted_wall,
-                    "end": time.time(),
-                }
-            )
-            # The recovery round trips inherit the caller's timeout per hop
-            # (an approximate rather than a total bound, but a wedged pool
-            # can never turn a bounded wait into an unbounded one).
-            value = self._backend._recover_miss(
-                self._unit, value, self, timeout=timeout
-            )
-        vectors, model, kernel_seconds, span = value
-        self.kernel_seconds = kernel_seconds
-        if span is not None:
-            self.protocol_hops.append(dict(span))
-        if self._observe:
-            self._backend._observe_dispatch(
-                self._unit.plan.key, kernel_seconds, self
-            )
-        self._resolved = (vectors, model)
-        return self._resolved
-
-
 class _ProcessGroupDispatch:
-    """Future-like handle for one fused group shipped to the worker pool.
+    """Future-like handle for one group shipped to the worker pool.
 
-    Same protocol duties as :class:`_ProcessDispatch` — transparent
-    blob-miss recovery, kernel-seconds return channel, protocol hops — but
-    for a whole :class:`ExecuteUnitGroup`: ``result()`` yields the
-    per-member outcome list and :attr:`kernel_seconds_list` the per-member
-    kernel wall-clocks measured in the worker.
+    ``result()`` yields the per-member outcome list, transparently
+    recovering a worker-side blob miss (resubmit with full blobs).  The
+    protocol's observability rides along after resolution:
+    :attr:`kernel_seconds_list` holds the per-member kernel wall-clocks
+    measured in the worker and :attr:`protocol_hops` the group's
+    cross-process itinerary — one dict per hop (``kind`` of
+    ``"blob-miss"``, ``"worker"`` or ``"inline"``, with epoch-clock
+    ``start``/``end``), so a recovered blob miss reports *both* hops: the
+    refused round trip and the execution that followed.
     """
 
     __slots__ = (
         "_backend",
         "_group",
         "_future",
-        "_submitted_at",
         "_submitted_wall",
-        "_done_at",
-        "_observe",
         "_resolved",
         "kernel_seconds_list",
         "protocol_hops",
     )
 
     def __init__(
-        self,
-        backend: "ProcessExecuteBackend",
-        group: ExecuteUnitGroup,
-        future,
-        submitted_at: float,
-        observe: bool = True,
+        self, backend: "ProcessExecuteBackend", group: ExecuteUnitGroup, future
     ) -> None:
         self._backend = backend
         self._group = group
         self._future = future
-        self._submitted_at = submitted_at
         self._submitted_wall = time.time()
-        self._done_at: Optional[float] = None
-        self._observe = observe
         self._resolved: Optional[list] = None
         self.kernel_seconds_list: Optional[List[Optional[float]]] = None
         self.protocol_hops: List[dict] = []
-        future.add_done_callback(self._stamp_done)
-
-    def _stamp_done(self, _future) -> None:
-        self._done_at = time.perf_counter()
-
-    def done(self) -> bool:
-        return self._future.done()
 
     def result(self, timeout: Optional[float] = None):
+        # Idempotent like a real Future: the raw future keeps holding the
+        # _BlobMiss sentinel after a recovery, so a second result() call
+        # must serve the recovered value instead of re-running the group.
         if self._resolved is not None:
             return self._resolved
         value = self._backend._await_future(self._future, timeout)
@@ -946,43 +541,30 @@ class _ProcessGroupDispatch:
                 }
             )
             value = self._backend._recover_group_miss(
-                self._group, value, self, timeout=timeout
+                self._group, value, timeout=timeout
             )
         outcomes, kernels, span = value
         self.kernel_seconds_list = kernels
         if span is not None:
             self.protocol_hops.append(dict(span))
-        if self._observe and self._backend._observe is not None:
-            done_at = self._done_at
-            if done_at is None:  # pragma: no cover - result() implies done
-                done_at = time.perf_counter()
-            total_kernel = sum(k for k in kernels if k is not None)
-            overhead = max(0.0, done_at - self._submitted_at - total_kernel)
-            for index, (unit, kernel) in enumerate(zip(self._group.units, kernels)):
-                if kernel is not None:
-                    # One dispatch, one overhead: attributed once, so the
-                    # cost model sees fusion's amortisation honestly.
-                    self._backend._observe(
-                        unit.plan.key, kernel, overhead if index == 0 else 0.0
-                    )
         self._resolved = outcomes
         return self._resolved
 
 
 class ProcessExecuteBackend:
-    """Execute units on a ``ProcessPoolExecutor`` — real multi-core execution.
+    """Execute unit groups on a ``ProcessPoolExecutor`` — real multi-core execution.
 
     Dispatches speak the **miss-only blob protocol**: plans and databases
     cross the pipe as content digests, not blobs.  Workers keep a
     digest-keyed resident cache, preloaded through the pool initializer
     with ``preload`` (typically the engine database) plus every plan blob
     memoised before the pool starts (the pool is created lazily on the
-    first dispatch, so the first unit's plan is always preloaded).  A blob
-    first seen *after* pool creation is shipped eagerly exactly once — it
-    lands on one worker; any other worker that draws a later digest-only
+    first dispatch, so the first group's plans are always preloaded).  A
+    blob first seen *after* pool creation is shipped eagerly exactly once —
+    it lands on one worker; any other worker that draws a later digest-only
     dispatch answers with a miss sentinel and the parent resubmits that one
-    unit with full blobs (also how a respawned worker repopulates).  Steady
-    state therefore ships only the workloads and the RNG child.
+    group with full blobs (also how a respawned worker repopulates).  Steady
+    state therefore ships only the workloads and the RNG children.
 
     Parameters
     ----------
@@ -1001,9 +583,6 @@ class ProcessExecuteBackend:
         memoised blobs on every dispatch — the PR 3 behaviour, kept as the
         honest baseline ``benchmarks/bench_ipc.py`` measures the protocol
         against.
-    observe:
-        Optional cost-model hook ``observe(plan_key, kernel_seconds,
-        dispatch_overhead_seconds)``, wired by the adaptive backend.
     metrics:
         Optional :class:`~repro.engine.observability.MetricsRegistry`;
         when set, each dispatch feeds per-dispatch bytes-shipped and
@@ -1023,9 +602,6 @@ class ProcessExecuteBackend:
     """
 
     name = "process"
-    #: Pipeline hint: this backend accepts fused :class:`ExecuteUnitGroup`
-    #: dispatches via :meth:`submit_group`.
-    fuses_units = True
 
     def __init__(
         self,
@@ -1033,7 +609,6 @@ class ProcessExecuteBackend:
         start_method: str = "spawn",
         preload: Sequence[object] = (),
         blob_protocol: str = "miss-only",
-        observe: Optional[Callable[[PlanKey, float, float], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         respawn_budget: int = 1,
         respawn_backoff: float = 0.5,
@@ -1046,7 +621,6 @@ class ProcessExecuteBackend:
         self._max_workers = int(max_workers)
         self._context = multiprocessing.get_context(start_method)
         self._ship_always = blob_protocol == "always"
-        self._observe = observe
         if metrics is not None:
             self._h_bytes = metrics.histogram(
                 "engine_ipc_bytes_shipped",
@@ -1170,12 +744,7 @@ class ProcessExecuteBackend:
             if entry is not None:
                 self._plan_blobs.move_to_end(plan.key)
                 return entry
-        try:
-            blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise _PlanSerialisationError(
-                f"plan {plan.key!r} cannot cross the process boundary: {exc}"
-            ) from exc
+        blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
         digest = _blob_digest(blob)
         with self._blob_lock:
             self._plan_blobs[plan.key] = (digest, blob)
@@ -1200,31 +769,27 @@ class ProcessExecuteBackend:
                 self._db_blobs.popitem(last=False)
         return digest, blob
 
-    def _ensure_pool(self) -> Tuple[ProcessPoolExecutor, bool]:
-        """The worker pool (plus whether this call created it).
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The worker pool, created on first use.
 
         Lazy creation is what makes the initializer useful: by the first
         dispatch the blob memos already hold the engine database and the
-        first unit's plan, so every worker the pool ever spawns —
-        including crash respawns — starts with them resident.  The creation
-        flag lets the creating dispatch skip its cost-model overhead
-        observation (worker spawn is a one-off cost, not a per-dispatch
-        one).
+        first group's plans, so every worker the pool ever spawns —
+        including crash respawns — starts with them resident.
         """
         with self._pool_lock:
             if self._closed:
                 raise RuntimeError("cannot schedule new futures after shutdown")
             if self._broken:
-                # Plain RuntimeError, NOT BrokenExecutor: the pipeline maps
-                # this to its closed-backend path — run the unit inline —
+                # Plain RuntimeError, NOT BrokenExecutor: execute_groups maps
+                # this to its closed-backend rung — run the group inline —
                 # which is the permanent fallback the budget exhaustion
                 # demands (the charge stands either way).
                 raise RuntimeError(
                     "process worker pool broke and its respawn budget "
                     f"({self._respawn_budget}) is exhausted; executing inline"
                 )
-            created = self._pool is None
-            if created:
+            if self._pool is None:
                 self._materialise_preload()
                 with self._blob_lock:
                     resident = (
@@ -1245,7 +810,7 @@ class ProcessExecuteBackend:
                 with self._counter_lock:
                     self._preload_bytes = preloaded
                 self._shipped_digests.update(digest for digest, _ in resident)
-            return self._pool, created
+            return self._pool
 
     def _materialise_preload(self) -> None:
         """Pickle any still-pending preload objects into the blob memos.
@@ -1328,65 +893,20 @@ class ProcessExecuteBackend:
         return blob
 
     # ----------------------------------------------------------------- submit
-    def submit(self, unit: ExecuteUnit) -> _ProcessDispatch:
-        """Serialise and ship one unit; raises ``RuntimeError`` once closed.
-
-        Plan and database pickles are memoised (both are immutable for the
-        engine's lifetime) and, under the miss-only protocol, cross the pipe
-        at most once — a steady-state dispatch serialises and ships only
-        the workloads and the RNG child.  Serialisation failures (e.g. a
-        plan holding an unpicklable custom estimator factory) raise here,
-        *before* anything is scheduled — the pipeline turns that into a
-        rolled-back batch, exactly like a mechanism failure.
-        """
-        started = time.perf_counter()
-        plan_digest, plan_blob = self._plan_entry(unit.plan)
-        db_digest, db_blob = self._db_entry(unit.database)
-        payload_blob = pickle.dumps(
-            (unit.workloads, unit.rng, unit.want_noise),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        elapsed = time.perf_counter() - started
-        pool, pool_created = self._ensure_pool()  # first pool preloads the memos
-        ship_plan = self._ship_blob(plan_digest, plan_blob)
-        ship_db = self._ship_blob(db_digest, db_blob)
-        try:
-            future = pool.submit(
-                _execute_shipped,
-                plan_digest,
-                ship_plan,
-                db_digest,
-                ship_db,
-                payload_blob,
-            )
-        except BrokenExecutor:
-            self._note_broken_pool()
-            raise
-        shipped = (
-            len(payload_blob)
-            + len(plan_digest)
-            + len(db_digest)
-            + (len(ship_plan) if ship_plan is not None else 0)
-            + (len(ship_db) if ship_db is not None else 0)
-        )
-        with self._counter_lock:
-            self._dispatches += 1
-            self._serialization_seconds += elapsed
-            self._bytes_shipped += shipped
-        if self._h_bytes is not None:
-            self._h_bytes.observe(shipped)
-            self._h_serialization.observe(elapsed)
-        return _ProcessDispatch(self, unit, future, started, observe=not pool_created)
-
     def submit_group(self, group: ExecuteUnitGroup) -> _ProcessGroupDispatch:
-        """Serialise and ship one fused group as a single worker task.
+        """Serialise and ship one group as a single worker task.
 
         One IPC round trip executes every member kernel back-to-back in one
-        worker — the per-unit protocol cost (payload pickle framing, queue
-        hop, future round trip) is paid once per group instead of once per
-        unit.  Plans and databases still cross as content digests under the
-        miss-only protocol; each distinct blob is shipped at most once even
-        when several members share it.
+        worker — the per-dispatch protocol cost (payload pickle framing,
+        queue hop, future round trip) is paid once per group instead of once
+        per unit.  Plan and database pickles are memoised (both are
+        immutable for the engine's lifetime) and, under the miss-only
+        protocol, cross the pipe as content digests; each distinct blob is
+        shipped at most once even when several members share it, so a
+        steady-state dispatch serialises and ships only the workloads and
+        the RNG children.  Serialisation failures (e.g. a plan holding an
+        unpicklable custom estimator factory) raise here, *before* anything
+        is scheduled; a closed backend raises ``RuntimeError``.
         """
         started = time.perf_counter()
         metas: List[Tuple[str, str]] = []
@@ -1402,7 +922,7 @@ class ProcessExecuteBackend:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         elapsed = time.perf_counter() - started
-        pool, pool_created = self._ensure_pool()
+        pool = self._ensure_pool()
         to_ship = {
             digest: blob
             for digest, blob in blobs.items()
@@ -1429,152 +949,27 @@ class ProcessExecuteBackend:
         if self._h_bytes is not None:
             self._h_bytes.observe(shipped)
             self._h_serialization.observe(elapsed)
-        return _ProcessGroupDispatch(
-            self, group, future, started, observe=not pool_created
-        )
+        return _ProcessGroupDispatch(self, group, future)
 
     # --------------------------------------------------------------- protocol
-    def _recover_miss(
-        self,
-        unit: ExecuteUnit,
-        miss: _BlobMiss,
-        dispatch: _ProcessDispatch,
-        timeout: Optional[float] = None,
-    ):
-        """Resubmit one missed unit with blobs (the slow, corrective path).
-
-        The worker refused before unpickling the RNG payload, so re-sending
-        the identical payload draws exactly the noise the first attempt
-        would have — determinism never depends on the miss path.  The first
-        resubmission ships only the blobs the worker reported missing (a
-        respawned worker keeps its initializer preload — re-shipping a
-        multi-megabyte database it still holds would double the recovery
-        cost for nothing); on a multi-worker pool it may land on a worker
-        missing the *other* blob, so a second miss escalates to shipping
-        everything — two rounds guarantee progress.  Each resubmission also
-        re-populates whichever worker picks it up.
-        """
-        logger.info(
-            "blob miss on process dispatch for plan %s (missing: %s); "
-            "resubmitting with full blobs",
-            unit.plan.key,
-            ", ".join(miss.missing),
-        )
-        started = time.perf_counter()
-        plan_digest, plan_blob = self._plan_entry(unit.plan)
-        db_digest, db_blob = self._db_entry(unit.database)
-        payload_blob = pickle.dumps(
-            (unit.workloads, unit.rng, unit.want_noise),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        with self._counter_lock:
-            self._serialization_seconds += time.perf_counter() - started
-        rounds = (
-            (
-                plan_blob if "plan" in miss.missing else None,
-                db_blob if "database" in miss.missing else None,
-            ),
-            (plan_blob, db_blob),
-        )
-        for ship_plan, ship_db in rounds:
-            round_wall = time.time()
-            with self._counter_lock:
-                self._blob_cache_misses += len(miss.missing)
-                self._resubmits += 1
-            with self._blob_lock:
-                # The miss proves a worker dropped (or never had) these
-                # digests: forget they were shipped, so after this recovery
-                # the next regular dispatch re-ships them eagerly — one
-                # fat hop — instead of risking another two-hop miss round
-                # trip (the thrashing regime when the working set outgrows
-                # the worker resident cache).
-                if "plan" in miss.missing:
-                    self._shipped_digests.discard(plan_digest)
-                if "database" in miss.missing:
-                    self._shipped_digests.discard(db_digest)
-            try:
-                pool, _ = self._ensure_pool()
-                future = pool.submit(
-                    _execute_shipped,
-                    plan_digest,
-                    ship_plan,
-                    db_digest,
-                    ship_db,
-                    payload_blob,
-                )
-            except BrokenExecutor:
-                self._note_broken_pool()
-                raise
-            except RuntimeError:
-                # Backend closed between the miss and the resubmit: the
-                # charge already stands, so the paid-for release happens
-                # inline (same engine-close semantics as execute_unit_via).
-                logger.warning(
-                    "process backend closed during blob-miss recovery; "
-                    "running unit for plan %s inline on the calling thread",
-                    unit.plan.key,
-                )
-                inline_wall = time.time()
-                inline_started = time.perf_counter()
-                vectors, model = run_unit(
-                    unit.plan,
-                    unit.workloads,
-                    unit.database,
-                    unit.rng,
-                    unit.want_noise,
-                )
-                kernel = time.perf_counter() - inline_started
-                span = {
-                    "kind": "inline",
-                    "pid": os.getpid(),
-                    "start": inline_wall,
-                    "end": inline_wall + kernel,
-                }
-                return vectors, model, kernel, span
-            future.add_done_callback(dispatch._stamp_done)
-            with self._counter_lock:
-                self._bytes_shipped += (
-                    len(payload_blob)
-                    + len(plan_digest)
-                    + len(db_digest)
-                    + (len(ship_plan) if ship_plan is not None else 0)
-                    + (len(ship_db) if ship_db is not None else 0)
-                )
-            value = self._await_future(future, timeout)
-            if not isinstance(value, _BlobMiss):
-                return value
-            miss = value
-            dispatch.protocol_hops.append(
-                {
-                    "kind": "blob-miss",
-                    "missing": list(miss.missing),
-                    "start": round_wall,
-                    "end": time.time(),
-                }
-            )
-        raise RuntimeError(  # pragma: no cover - protocol invariant
-            f"worker reported {miss.missing} missing although every blob was "
-            "shipped with the final resubmission"
-        )
-
     def _recover_group_miss(
         self,
         group: ExecuteUnitGroup,
         miss: _BlobMiss,
-        dispatch: _ProcessGroupDispatch,
         timeout: Optional[float] = None,
     ):
-        """Resubmit one missed group with every blob attached.
+        """Resubmit one missed group with every blob attached (the slow,
+        corrective path).
 
-        Group misses name the missing *digests*.  Unlike the per-unit
-        recovery's two-round escalation, a group touches many digests at
-        once, so the single corrective round ships **all** of them — a
-        worker holding everything it is handed cannot miss again.  The RNG
-        payload of the first attempt was never unpickled, so the retry
-        draws identical noise.
+        Misses name the missing *digests*.  The single corrective round
+        ships **all** of the group's blobs — a worker holding everything it
+        is handed cannot miss again — and re-populates whichever worker
+        picks it up.  The RNG payload of the first attempt was never
+        unpickled, so the retry draws identical noise: determinism never
+        depends on the miss path.
         """
         logger.info(
-            "blob miss on fused process dispatch of %d units (missing %d "
+            "blob miss on process dispatch of %d unit(s) (missing %d "
             "digests); resubmitting with full blobs",
             len(group.units),
             len(miss.missing),
@@ -1594,23 +989,26 @@ class ProcessExecuteBackend:
             self._blob_cache_misses += len(miss.missing)
             self._resubmits += 1
         with self._blob_lock:
-            # Same thrash-avoidance as the per-unit recovery: the missing
-            # digests re-ship eagerly on the next regular dispatch too.
+            # The miss proves a worker dropped (or never had) these
+            # digests: forget they were shipped, so the next regular
+            # dispatch re-ships them eagerly — one fat hop — instead of
+            # risking another miss round trip (the thrashing regime when
+            # the working set outgrows the worker resident cache).
             for digest in miss.missing:
                 self._shipped_digests.discard(digest)
         try:
-            pool, _ = self._ensure_pool()
+            pool = self._ensure_pool()
             future = pool.submit(_execute_shipped_group, tuple(members), payload_blob)
         except BrokenExecutor:
             self._note_broken_pool()
             raise
         except RuntimeError:
-            # Backend closed between the miss and the resubmit: finish the
-            # paid-for group inline (same engine-close semantics as the
-            # per-unit path).
+            # Backend closed between the miss and the resubmit: the charges
+            # already stand, so the paid-for group runs inline (the same
+            # closed-backend rung as execute_groups).
             logger.warning(
-                "process backend closed during fused blob-miss recovery; "
-                "running %d units inline on the calling thread",
+                "process backend closed during blob-miss recovery; "
+                "running %d unit(s) inline on the calling thread",
                 len(group.units),
             )
             inline_wall = time.time()
@@ -1620,10 +1018,9 @@ class ProcessExecuteBackend:
                 "pid": os.getpid(),
                 "start": inline_wall,
                 "end": time.time(),
-                "fused_units": len(group.units),
+                "units": len(group.units),
             }
             return outcomes, kernels, span
-        future.add_done_callback(dispatch._stamp_done)
         with self._counter_lock:
             self._bytes_shipped += len(payload_blob) + sum(
                 len(plan_digest) + len(plan_blob) + len(db_digest) + len(db_blob)
@@ -1633,21 +1030,9 @@ class ProcessExecuteBackend:
         if isinstance(value, _BlobMiss):  # pragma: no cover - protocol invariant
             raise RuntimeError(
                 f"worker reported {value.missing} missing although every blob "
-                "was shipped with the fused resubmission"
+                "was shipped with the resubmission"
             )
         return value
-
-    def _observe_dispatch(
-        self, plan_key: PlanKey, kernel_seconds: float, dispatch: _ProcessDispatch
-    ) -> None:
-        """Feed the cost model (when wired): kernel EWMA + dispatch overhead."""
-        if self._observe is None:
-            return
-        done_at = dispatch._done_at
-        if done_at is None:  # pragma: no cover - result() implies done
-            done_at = time.perf_counter()
-        overhead = max(0.0, done_at - dispatch._submitted_at - kernel_seconds)
-        self._observe(plan_key, kernel_seconds, overhead)
 
     # -------------------------------------------------------------- lifecycle
     def reset_resident_caches(self) -> int:
@@ -1662,7 +1047,7 @@ class ProcessExecuteBackend:
         is only deterministic with ``max_workers=1``.  Returns the number
         of reset tasks run.
         """
-        pool, _ = self._ensure_pool()
+        pool = self._ensure_pool()
         futures = [
             pool.submit(_reset_worker_resident) for _ in range(self._max_workers)
         ]
@@ -1692,289 +1077,30 @@ class ProcessExecuteBackend:
             self._shipped_digests.clear()
 
 
-class AdaptiveExecuteBackend:
-    """Cost-aware router: each unit runs inline, on threads, or on processes.
-
-    ``execute_backend="adaptive"`` makes dispatch a *measured* decision
-    instead of a static configuration: an :class:`ExecuteCostModel` tracks
-    how long each plan's kernels actually take (EWMA per plan key, observed
-    wherever units run — the process protocol ships the measurement back
-    with the answers) and what each pool's dispatches actually cost on top
-    (serialisation + IPC + future round trip).  A unit is dispatched only
-    when its estimated kernel clearly dominates the pool's overhead;
-    otherwise it runs inline on the flushing thread — so tiny units never
-    pay IPC, heavy sharded batches still fan out across cores, and the
-    choice keeps tracking the workload as it shifts.
-
-    Determinism is untouched: routing picks *where* a unit runs after its
-    RNG child is already fixed, so a seeded engine draws bit-identical
-    noise under ``"adaptive"``, ``"thread"``, ``"process"`` and inline —
-    and ε ledgers never depend on the backend at all.
-
-    The inner process pool inherits ``preload`` (the engine database) and
-    the miss-only blob protocol; both pools are created lazily, so an
-    adaptive engine whose workload never earns a dispatch never pays for
-    worker processes.
-    """
-
-    name = "adaptive"
-    #: Pipeline hint: submit every unit (even a lone one) through this
-    #: backend with the ``flush_units`` context, instead of short-circuiting
-    #: single-unit flushes inline — the router decides, observes and counts.
-    routes_units = True
-    #: Pipeline hint: this backend accepts fused :class:`ExecuteUnitGroup`
-    #: dispatches via :meth:`submit_group`.
-    fuses_units = True
-
-    def __init__(
-        self,
-        max_workers: int,
-        start_method: str = "spawn",
-        preload: Sequence[object] = (),
-        cost_model: Optional[ExecuteCostModel] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.cost_model = cost_model if cost_model is not None else ExecuteCostModel()
-        self._max_workers = int(max_workers)
-        self._thread = ThreadExecuteBackend(
-            int(max_workers), observe=self._observe_thread, metrics=metrics
-        )
-        self._process = ProcessExecuteBackend(
-            int(max_workers),
-            start_method=start_method,
-            preload=preload,
-            observe=self._observe_process,
-            metrics=metrics,
-        )
-        self._counter_lock = threading.Lock()
-        self._inline_runs = 0
-        #: Plan keys whose own pickle failed once: re-attempting the
-        #: (expensive, sparse-matrix) serialisation on every dispatch would
-        #: lose the whole point of routing — they go straight to the thread
-        #: pool.  Per-unit payload failures are NOT memoised here.
-        self._process_rejected: set = set()
-        self._closed = False
-
-    # ------------------------------------------------------- cost-model wires
-    def _observe_thread(self, plan_key: PlanKey, kernel: float, overhead: float) -> None:
-        self.cost_model.observe_kernel(plan_key, kernel)
-        self.cost_model.observe_overhead("thread", overhead)
-
-    def _observe_process(self, plan_key: PlanKey, kernel: float, overhead: float) -> None:
-        self.cost_model.observe_kernel(plan_key, kernel)
-        self.cost_model.observe_overhead("process", overhead)
-
-    # ------------------------------------------------------------- telemetry
-    @property
-    def fusion_slots(self) -> int:
-        """Parallelism the pipeline's fusion pass should fill (worker count)."""
-        return self._max_workers
-
-    @property
-    def dispatches(self) -> int:
-        """Units handed to either pool (inline runs are counted separately)."""
-        return self._thread.dispatches + self._process.dispatches
-
-    @property
-    def serialization_seconds(self) -> float:
-        """Parent-side pickling time of the process-routed dispatches."""
-        return self._process.serialization_seconds
-
-    @property
-    def bytes_shipped(self) -> int:
-        """Bytes shipped by the process-routed dispatches."""
-        return self._process.bytes_shipped
-
-    @property
-    def blob_cache_misses(self) -> int:
-        """Worker resident-cache misses of the process-routed dispatches."""
-        return self._process.blob_cache_misses
-
-    @property
-    def pool_respawns(self) -> int:
-        """Broken-pool respawns of the inner process backend."""
-        return self._process.pool_respawns
-
-    @property
-    def adaptive_inline(self) -> int:
-        """Units the router kept on the flushing thread."""
-        with self._counter_lock:
-            return self._inline_runs
-
-    @property
-    def adaptive_dispatched(self) -> int:
-        """Units the router fanned out to a pool (thread or process).
-
-        Derived from the pools' own dispatch counters rather than tallied
-        separately — two counters for one fact would only invite drift.
-        """
-        return self.dispatches
-
-    # ----------------------------------------------------------------- submit
-    def submit(self, unit: ExecuteUnit, flush_units: int = 1):
-        """Route one unit of a ``flush_units``-unit flush and return a future.
-
-        Inline-routed units execute synchronously on the calling thread —
-        by construction they are cheaper than a dispatch, so the pipeline's
-        submit loop loses nothing — and come back as an already-resolved
-        future, keeping one contract for every route.  Raises
-        ``RuntimeError`` once closed; a crashed process pool raises
-        :class:`BrokenExecutor` exactly like the static backend.
-        """
-        if self._closed:
-            raise RuntimeError("cannot schedule new futures after shutdown")
-        route = self.cost_model.route(unit.plan.key, flush_units)
-        if route == "process":
-            with self._counter_lock:
-                if unit.plan.key in self._process_rejected:
-                    route = "thread"
-        if route == "process":
-            try:
-                return self._process.submit(unit)
-            except BrokenExecutor:
-                raise
-            except RuntimeError:
-                raise
-            except _PlanSerialisationError as exc:
-                # The plan itself cannot cross the process boundary — ever.
-                # Remember it so later dispatches skip the doomed (and
-                # expensive) pickle attempt; the thread pool executes on
-                # shared objects, so the unit is still servable.
-                logger.warning(
-                    "plan %s cannot cross the process boundary; routing it "
-                    "to the thread pool from now on: %s",
-                    unit.plan.key,
-                    exc,
-                )
-                with self._counter_lock:
-                    self._process_rejected.add(unit.plan.key)
-                route = "thread"
-            except Exception as exc:
-                # Per-unit serialisation failure (workload/RNG payload):
-                # degrade this unit to the thread pool without poisoning
-                # the plan's process route.
-                logger.warning(
-                    "unit payload for plan %s failed to serialise; degrading "
-                    "this unit to the thread pool: %s",
-                    unit.plan.key,
-                    exc,
-                )
-                route = "thread"
-        if route == "thread":
-            return self._thread.submit(unit)
-        started = time.perf_counter()
-        resolved: Future = Future()
-        try:
-            value = run_unit(
-                unit.plan, unit.workloads, unit.database, unit.rng, unit.want_noise
-            )
-        except BaseException as exc:
-            resolved.set_exception(exc)
-        else:
-            self.cost_model.observe_kernel(
-                unit.plan.key, time.perf_counter() - started
-            )
-            resolved.set_result(value)
-        with self._counter_lock:
-            self._inline_runs += 1
-        return resolved
-
-    def submit_group(self, group: ExecuteUnitGroup, flush_units: int = 1):
-        """Route one fused group of a ``flush_units``-unit flush.
-
-        The group was fused precisely because the flush is oversubscribed,
-        so the members share one routing decision (made on the first
-        member's plan — fusion groups are config-compatible and in practice
-        plan-homogeneous).  Inline-routed groups execute synchronously and
-        come back as a resolved group handle; serialisation failures degrade
-        the whole group to the thread pool, mirroring :meth:`submit`.
-        """
-        if self._closed:
-            raise RuntimeError("cannot schedule new futures after shutdown")
-        route = self.cost_model.route(group.units[0].plan.key, flush_units)
-        if route == "process":
-            with self._counter_lock:
-                if any(
-                    unit.plan.key in self._process_rejected for unit in group.units
-                ):
-                    route = "thread"
-        if route == "process":
-            try:
-                return self._process.submit_group(group)
-            except BrokenExecutor:
-                raise
-            except RuntimeError:
-                raise
-            except _PlanSerialisationError as exc:
-                logger.warning(
-                    "a plan in a fused group of %d units cannot cross the "
-                    "process boundary; routing the group to the thread pool: %s",
-                    len(group.units),
-                    exc,
-                )
-                route = "thread"
-            except Exception as exc:
-                logger.warning(
-                    "payload of a fused group of %d units failed to "
-                    "serialise; degrading the group to the thread pool: %s",
-                    len(group.units),
-                    exc,
-                )
-                route = "thread"
-        if route == "thread":
-            return self._thread.submit_group(group)
-        outcomes, kernels = run_unit_group(group)
-        for unit, kernel in zip(group.units, kernels):
-            if kernel is not None:
-                self.cost_model.observe_kernel(unit.plan.key, kernel)
-        with self._counter_lock:
-            self._inline_runs += len(group.units)
-        return _GroupHandle.resolved(outcomes, kernels)
-
-    def close(self, wait: bool = True) -> None:
-        """Shut both pools down; subsequent submits raise ``RuntimeError``."""
-        self._closed = True
-        self._thread.close(wait=wait)
-        self._process.close(wait=wait)
-
-
 def create_execute_backend(
     backend: str,
-    max_workers: int,
+    max_workers: Optional[int],
     process_start_method: str = "spawn",
     preload: Sequence[object] = (),
-    cost_model: Optional[ExecuteCostModel] = None,
     metrics: Optional[MetricsRegistry] = None,
-) -> Optional[object]:
+):
     """Build the execute backend the engine was configured with.
 
-    Returns ``None`` for ``max_workers`` of 1 or less — the pipeline then
-    executes inline on the flushing thread, exactly as without a pool.
-    ``preload`` (the engine database) and ``cost_model`` only apply to the
-    process-capable backends; ``metrics`` wires per-dispatch histograms
-    (queue wait, bytes shipped, serialisation time) into whichever backend
-    is built.
+    ``backend`` is ``"inline"`` or ``"process"``.  Returns the shared
+    :data:`INLINE_BACKEND` for ``"inline"`` or a ``max_workers`` of 1 or
+    less — the pipeline then executes on the flushing thread.  ``preload``
+    (the engine database) and ``metrics`` (per-dispatch bytes-shipped and
+    serialisation-time histograms) apply to the process backend.
     """
-    if backend not in ("thread", "process", "adaptive"):
+    if backend not in ("inline", "process"):
         raise ValueError(
-            f"Unknown execute backend {backend!r}; "
-            "expected 'thread', 'process' or 'adaptive'"
+            f"Unknown execute backend {backend!r}; expected 'inline' or 'process'"
         )
-    if max_workers is None or int(max_workers) <= 1:
-        return None
-    if backend == "thread":
-        return ThreadExecuteBackend(max_workers=int(max_workers), metrics=metrics)
-    if backend == "process":
-        return ProcessExecuteBackend(
-            max_workers=int(max_workers),
-            start_method=process_start_method,
-            preload=preload,
-            metrics=metrics,
-        )
-    return AdaptiveExecuteBackend(
+    if backend == "inline" or max_workers is None or int(max_workers) <= 1:
+        return INLINE_BACKEND
+    return ProcessExecuteBackend(
         max_workers=int(max_workers),
         start_method=process_start_method,
         preload=preload,
-        cost_model=cost_model,
         metrics=metrics,
     )

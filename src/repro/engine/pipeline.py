@@ -14,17 +14,15 @@ mirroring the HTAP separation of transactional and analytical paths:
    inside :class:`~repro.accounting.PrivacyAccountant`), held only for the
    microseconds of a check-then-append.  Refusals resolve tickets
    immediately; admissions record the charged operation for rollback.
-3. **execute** — outside any lock.  ``Mechanism.answer_batch`` runs on the
-   flushing thread, or the batch work is cut into
+3. **execute** — outside any lock.  The batch work is cut into
    :class:`~repro.engine.parallel.ExecuteUnit` work units (one per unsharded
-   batch, one per touched shard of a sharded batch) and dispatched to the
-   engine's execute backend — an in-process thread pool, a **process
-   pool** that runs mechanism kernels across cores, or the **adaptive
-   router** that sends each unit wherever its measured cost model says it
-   runs cheapest (:mod:`repro.engine.parallel`).  Every unit gets its own
-   spawned RNG
-   child stream with the same derivation on every backend, so a seeded
-   engine draws identical noise under ``"thread"`` and ``"process"``.  A
+   batch, one per touched shard of a sharded batch) and dispatched as
+   groups to the engine's execute backend — inline on the flushing thread,
+   or a **process pool** that runs mechanism kernels across cores
+   (:mod:`repro.engine.parallel`).  Every unit draws from its own stream,
+   dealt before dispatch by one of two documented derivations (inline or
+   pooled, see :meth:`FlushPipeline._execute_batches`), so where a unit
+   runs and how it is grouped never change a seeded engine's draws.  A
    failure here rolls every charge of the batch back via
    :meth:`~repro.accounting.PrivacyAccountant.rollback` — nothing was
    released, so nothing may be billed.
@@ -45,9 +43,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,7 +59,13 @@ from ..exceptions import (
 from ..mechanisms.base import NoiseModel
 from ..policy.graph import PolicyGraph
 from .durability.faults import fault_point
-from .parallel import ExecuteUnit, ExecuteUnitGroup, run_unit, run_unit_group
+from .parallel import (
+    INLINE_BACKEND,
+    ExecuteUnit,
+    ExecuteUnitGroup,
+    InlineExecuteBackend,
+    execute_groups,
+)
 from .plan_cache import CachedPlan
 from .session import ClientSession
 from .sharding import ShardScatter, ShardSet
@@ -320,18 +322,18 @@ class FlushPipeline:
         trace: Optional["Trace"],
         unit: ExecuteUnit,
         submitted_wall: float,
-        future,
+        kernel: Optional[float],
+        hops,
         parent=None,
     ) -> None:
         """Record one executed unit: kernel-seconds sample + unit span tree.
 
         The histogram is keyed by a short plan-signature label; the sample
-        is the worker-measured kernel when the future carries one (process
-        dispatches ship it back), the parent-observed round trip otherwise.
-        The unit span adopts any protocol hops the dispatch accumulated —
-        worker execution, blob-miss round trips, closed-pool inline runs —
-        as child spans, which is how worker-process spans join the flush's
-        tree.
+        is the measured kernel (worker-measured on the process backend) when
+        known, the parent-observed round trip otherwise.  The unit span
+        adopts the protocol hops its dispatch accumulated — worker
+        execution, blob-miss round trips, closed-pool inline runs — as child
+        spans, which is how worker-process spans join the flush's tree.
         """
         obs = self._engine._observability
         if obs is None or not obs.enabled:
@@ -339,7 +341,6 @@ class FlushPipeline:
         end_wall = time.time()
         key = unit.plan.key
         label = f"{key[1][:12]}/{key[2]}"
-        kernel = getattr(future, "kernel_seconds", None) if future is not None else None
         obs.metrics.histogram(
             "engine_unit_kernel_seconds",
             "Per-unit kernel seconds, keyed by plan signature",
@@ -355,8 +356,7 @@ class FlushPipeline:
             plan=label,
             workloads=len(unit.workloads),
         )
-        hops = getattr(future, "protocol_hops", None) if future is not None else None
-        for hop in hops or ():
+        for hop in hops:
             attributes = {
                 k: v for k, v in hop.items() if k not in ("kind", "start", "end")
             }
@@ -738,237 +738,51 @@ class FlushPipeline:
         trace: Optional["Trace"] = None,
         stage_span=None,
     ) -> None:
-        """Stage 3: run every batch's mechanism work outside all locks."""
-        engine = self._engine
+        """Stage 3: cut batches into units, dispatch them as groups, gather.
+
+        The engine's current backend picks one of two RNG derivations:
+
+        * **inline** (no pool, or a closed engine): batches are cut and run
+          one after another in batch order; an unsharded batch draws from
+          the flush stream itself, and a sharded batch spawns its per-shard
+          children from that stream when its turn comes;
+        * **pooled**: the flush stream spawns one child per batch up front,
+          and a sharded batch spawns its per-shard grandchildren from its
+          child.  Every unit is cut before any is dispatched, so compatible
+          units can share a dispatch (:meth:`_fuse`); a flush of a single
+          unit runs it on the flushing thread instead (the pool buys overlap
+          between units and one unit would only pay its dispatch cost).
+
+        Per-shard streams follow sorted shard order either way, and where a
+        unit runs or how it is grouped never changes its draws.
+        """
         runnable = [batch for batch in batches if batch.admitted]
         if not runnable:
             return
-        backend = engine._execute_backend
-        if backend is None:
-            for batch in runnable:
-                self._execute_one(batch, rng, trace, stage_span)
-            return
-        self._execute_on_backend(backend, runnable, rng, trace, stage_span)
-
-    def _execute_on_backend(
-        self,
-        backend,
-        runnable: List[PlannedBatch],
-        rng: np.random.Generator,
-        trace: Optional["Trace"] = None,
-        stage_span=None,
-    ) -> None:
-        """Cut batches into work units and run them on the execute backend.
-
-        The RNG derivation is backend-independent: one child stream per
-        runnable batch (in batch order), and per-shard grandchildren (in
-        sorted shard order) for sharded batches — so a seeded engine draws
-        identical noise whether units run on threads or worker processes.
-        """
-        child_rngs = self._spawn_children(rng, len(runnable))
-        units_by_batch: List[Tuple[PlannedBatch, List[Tuple[ExecuteUnit, Optional[list]]]]] = []
-        for batch, child in zip(runnable, child_rngs):
-            try:
-                units_by_batch.append((batch, self._units_for(batch, child)))
-            except Exception as exc:
-                batch.execute_error = (
-                    f"Batch execution failed (charge rolled back): {exc}"
-                )
-        total_units = sum(len(units) for _, units in units_by_batch)
-        # An adaptive backend routes (and observes) every unit itself — even
-        # a lone one, which its cost model sends inline anyway, but *through*
-        # the backend so the kernel is measured and the decision counted.
-        routes_units = getattr(backend, "routes_units", False)
-        if total_units <= 1 and not routes_units:
-            # A lone unit gains nothing from the pool but pays its full
-            # dispatch cost (pickling + IPC on the process backend): run it
-            # here.  The derivation above already fixed the unit's RNG, so
-            # draws do not depend on where it executes.
-            for batch, units in units_by_batch:
-                results = []
-                try:
-                    for unit, entries in units:
-                        unit_wall = time.time() if trace is not None else 0.0
-                        vectors, model = run_unit(
-                            unit.plan,
-                            unit.workloads,
-                            unit.database,
-                            unit.rng,
-                            unit.want_noise,
-                        )
-                        results.append((entries, vectors, model))
-                        self._obs_unit_done(
-                            trace, unit, unit_wall, None, parent=stage_span
-                        )
-                except Exception as exc:
-                    batch.execute_error = (
-                        f"Batch execution failed (charge rolled back): {exc}"
-                    )
-                    continue
-                self._assemble_batch(batch, results)
-            return
-
-        # (batch, unit, gather bookkeeping, future-or-None, submit wall-clock)
-        # per work unit.
-        submissions: List[
-            Tuple[PlannedBatch, ExecuteUnit, Optional[list], object, float]
-        ] = []
-        # (members, group handle-or-None, submit wall-clock) per fused group,
-        # members being (batch, unit, entries) triples in dispatch order.
-        group_submissions: List[
-            Tuple[List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]], object, float]
-        ] = []
-
-        def submit_unit(
-            batch: PlannedBatch, unit: ExecuteUnit, entries: Optional[list]
-        ) -> None:
-            unit_wall = time.time() if trace is not None else 0.0
-            try:
-                future = (
-                    backend.submit(unit, flush_units=total_units)
-                    if routes_units
-                    else backend.submit(unit)
-                )
-            except BrokenExecutor as exc:
-                # A crashed worker pool is NOT the engine-close case
-                # (BrokenProcessPool subclasses RuntimeError): re-running
-                # the unit inline could re-crash the serving process if
-                # the unit itself killed the worker.  Roll the batch back
-                # with a clear error instead.
-                batch.execute_error = (
-                    f"Batch execution failed (charge rolled back): "
-                    f"execute worker pool broke: {exc}"
-                )
-                return
-            except RuntimeError:
-                # engine.close() shut the backend down mid-flush: finish
-                # inline so every charge still reaches execute/rollback
-                # and every ticket resolves.
-                logger.warning(
-                    "execute backend closed mid-flush; finishing unit for "
-                    "plan %s inline on the flushing thread",
-                    unit.plan.key,
-                )
-                future = None
-            except Exception as exc:
-                # Serialisation failure (process backend): the batch
-                # rolls back exactly like a mechanism failure.
-                batch.execute_error = (
-                    f"Batch execution failed (charge rolled back): {exc}"
-                )
-                return
-            submissions.append((batch, unit, entries, future, unit_wall))
-
-        fusion_chunks = self._fusion_plan(backend, units_by_batch, total_units)
-        if fusion_chunks is None:
-            for batch, units in units_by_batch:
-                for unit, entries in units:
-                    if batch.execute_error is not None:
-                        break
-                    submit_unit(batch, unit, entries)
+        backend = self._engine._execute_backend
+        if isinstance(backend, InlineExecuteBackend):
+            chunks = (
+                [member]
+                for batch in runnable
+                for member in self._batch_members(batch, rng)
+            )
         else:
-            for members in fusion_chunks:
-                members = [m for m in members if m[0].execute_error is None]
-                if not members:
-                    continue
-                if len(members) == 1:
-                    submit_unit(*members[0])
-                    continue
-                group = ExecuteUnitGroup(
-                    units=tuple(unit for _, unit, _ in members)
-                )
-                unit_wall = time.time() if trace is not None else 0.0
-                try:
-                    handle = (
-                        backend.submit_group(group, flush_units=total_units)
-                        if routes_units
-                        else backend.submit_group(group)
-                    )
-                except BrokenExecutor as exc:
-                    for batch, _, _ in members:
-                        batch.execute_error = (
-                            f"Batch execution failed (charge rolled back): "
-                            f"execute worker pool broke: {exc}"
-                        )
-                    continue
-                except RuntimeError:
-                    logger.warning(
-                        "execute backend closed mid-flush; finishing fused "
-                        "group of %d units inline on the flushing thread",
-                        len(members),
-                    )
-                    handle = None
-                except Exception as exc:
-                    # Group serialisation failed for *some* member; resubmit
-                    # them singly so only the offending unit's batch rolls
-                    # back — fusion never widens an error's blast radius.
-                    logger.debug(
-                        "fused dispatch of %d units failed (%s); "
-                        "resubmitting its members per-unit",
-                        len(members),
-                        exc,
-                    )
-                    for batch, unit, entries in members:
-                        if batch.execute_error is None:
-                            submit_unit(batch, unit, entries)
-                    continue
-                self._engine._c_fused.inc(len(members))
-                group_submissions.append((members, handle, unit_wall))
-
-        unit_results: Dict[
+            children = self._spawn_children(rng, len(runnable))
+            members = [
+                member
+                for batch, child in zip(runnable, children)
+                for member in self._batch_members(batch, child)
+            ]
+            if len(members) <= 1:
+                backend, chunks = INLINE_BACKEND, [[member] for member in members]
+            else:
+                chunks = self._fuse(backend, members)
+        results: Dict[
             int, List[Tuple[Optional[list], List[np.ndarray], Optional[NoiseModel]]]
         ] = {}
-        for batch, unit, entries, future, unit_wall in submissions:
-            if batch.execute_error is not None:
-                if future is not None:
-                    try:
-                        future.result()  # drain; result is discarded
-                    except Exception:
-                        pass
-                continue
-            try:
-                vectors, model = (
-                    future.result()
-                    if future is not None
-                    else run_unit(
-                        unit.plan,
-                        unit.workloads,
-                        unit.database,
-                        unit.rng,
-                        unit.want_noise,
-                    )
-                )
-            except Exception as exc:
-                batch.execute_error = (
-                    f"Batch execution failed (charge rolled back): {exc}"
-                )
-                continue
-            unit_results.setdefault(id(batch), []).append((entries, vectors, model))
-            self._obs_unit_done(trace, unit, unit_wall, future, parent=stage_span)
-
-        for members, handle, unit_wall in group_submissions:
-            if handle is None:
-                # Backend closed mid-flush: run the fused group inline —
-                # the members' RNG children are already fixed, so the draws
-                # match a dispatched run exactly.
-                outcomes, kernels = run_unit_group(
-                    ExecuteUnitGroup(units=tuple(unit for _, unit, _ in members))
-                )
-                hops: list = []
-            else:
-                try:
-                    outcomes = handle.result()
-                except Exception as exc:
-                    for batch, _, _ in members:
-                        if batch.execute_error is None:
-                            batch.execute_error = (
-                                f"Batch execution failed (charge rolled back): {exc}"
-                            )
-                    continue
-                kernels = handle.kernel_seconds_list or [None] * len(members)
-                hops = handle.protocol_hops
+        for done in execute_groups(backend, self._groups(chunks)):
             for index, ((batch, unit, entries), outcome) in enumerate(
-                zip(members, outcomes)
+                zip(done.tag, done.outcomes)
             ):
                 if batch.execute_error is not None:
                     continue
@@ -978,79 +792,86 @@ class FlushPipeline:
                     )
                     continue
                 _, vectors, model = outcome
-                unit_results.setdefault(id(batch), []).append(
-                    (entries, vectors, model)
+                results.setdefault(id(batch), []).append((entries, vectors, model))
+                # Each member reports its own kernel; the group's protocol
+                # hops (worker span, blob-miss round trips) attach to the
+                # first member so the trace shows them once per dispatch.
+                self._obs_unit_done(
+                    trace,
+                    unit,
+                    done.submitted,
+                    done.kernels[index],
+                    done.hops if index == 0 else (),
+                    parent=stage_span,
                 )
-                # Per-member observability shim: each member reports its own
-                # worker-measured kernel; the group's protocol hops (worker
-                # span, blob-miss round trips) attach to the first member so
-                # the trace shows them once per dispatch.
-                shim = SimpleNamespace(
-                    kernel_seconds=kernels[index] if index < len(kernels) else None,
-                    protocol_hops=hops if index == 0 else None,
-                )
-                self._obs_unit_done(trace, unit, unit_wall, shim, parent=stage_span)
-
         for batch in runnable:
             if batch.execute_error is not None:
                 continue
-            self._assemble_batch(batch, unit_results.get(id(batch), []))
+            try:
+                self._assemble_batch(batch, results.get(id(batch), []))
+            except Exception as exc:
+                batch.execute_error = (
+                    f"Batch execution failed (charge rolled back): {exc}"
+                )
 
-    def _fusion_plan(
+    def _groups(self, chunks):
+        """``(members, group)`` pairs for :func:`execute_groups`, counting fusion."""
+        for members in chunks:
+            if len(members) > 1:
+                self._engine._c_fused.inc(len(members))
+            yield members, ExecuteUnitGroup(units=tuple(unit for _, unit, _ in members))
+
+    def _batch_members(
+        self, batch: PlannedBatch, rng: np.random.Generator
+    ) -> List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]]:
+        """``(batch, unit, entries)`` for each unit of ``batch`` (see
+        :meth:`_units_for`); a batch that cannot be cut fails here."""
+        try:
+            return [(batch, unit, entries) for unit, entries in self._units_for(batch, rng)]
+        except Exception as exc:
+            batch.execute_error = f"Batch execution failed (charge rolled back): {exc}"
+            return []
+
+    def _fuse(
         self,
         backend,
-        units_by_batch: List[Tuple[PlannedBatch, List[Tuple[ExecuteUnit, Optional[list]]]]],
-        total_units: int,
-    ) -> Optional[List[List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]]]]:
-        """Cut an oversubscribed flush into fused dispatch chunks (or ``None``).
+        members: List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]],
+    ) -> List[List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]]]:
+        """Cut a pooled flush's units into dispatch chunks.
 
-        Fusion only fires when the flush holds more units than the backend
-        has parallel slots (``fusion_slots``, the worker count) — below that
-        every unit already gets its own worker and fusing would only
-        *serialise* work that could run concurrently.  Units are grouped by
+        Units share a dispatch only when the flush holds more units than
+        the backend has parallel slots (``fusion_slots``, the worker count)
+        — below that every unit already gets its own worker and grouping
+        would only *serialise* work that could run concurrently, so each
+        unit is a group of one.  Above it, units are grouped by
         compatibility — same planner config string (ε, planning flags) and
-        same ``want_noise`` — then each group is split into at most
+        same ``want_noise`` — and each group is split into at most
         ``fusion_slots`` balanced contiguous chunks.  RNG children were
-        spawned before this pass, so chunking changes dispatch shape only,
-        never draws.  Returns ``None`` when fusion is off, unsupported by
-        the backend, or not worthwhile; chunks of size 1 are submitted
-        per-unit by the caller.
+        dealt before this pass, so chunking changes dispatch shape only,
+        never draws.
         """
-        engine = self._engine
-        if not engine._execute_fusion:
-            return None
-        if not getattr(backend, "fuses_units", False):
-            return None
-        slots = int(getattr(backend, "fusion_slots", 0) or 0)
-        if slots <= 0 or total_units <= slots:
-            return None
-        flat = [
-            (batch, unit, entries)
-            for batch, units in units_by_batch
-            if batch.execute_error is None
-            for unit, entries in units
-        ]
-        if len(flat) <= 1:
-            return None
+        slots = backend.fusion_slots
+        if len(members) <= slots:
+            return [[member] for member in members]
         groups: Dict[Tuple[str, bool], List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]]] = {}
-        for item in flat:
-            unit = item[1]
-            groups.setdefault((unit.plan.key[2], unit.want_noise), []).append(item)
+        for member in members:
+            unit = member[1]
+            groups.setdefault((unit.plan.key[2], unit.want_noise), []).append(member)
         if len(groups) > 1:
             logger.debug(
                 "unit fusion: %d units fall into %d incompatible ε/config "
                 "groups; fusing within each group only",
-                len(flat),
+                len(members),
                 len(groups),
             )
         chunks: List[List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]]] = []
-        for members in groups.values():
-            n_chunks = min(len(members), slots)
-            base, extra = divmod(len(members), n_chunks)
+        for compatible in groups.values():
+            n_chunks = min(len(compatible), slots)
+            base, extra = divmod(len(compatible), n_chunks)
             start = 0
             for i in range(n_chunks):
                 size = base + (1 if i < extra else 0)
-                chunks.append(members[start : start + size])
+                chunks.append(compatible[start : start + size])
                 start += size
         return chunks
 
@@ -1061,9 +882,9 @@ class FlushPipeline:
 
         Unsharded batches become one unit over the full database, executing
         on ``rng`` itself; sharded batches one unit per touched shard, each
-        with its own child stream spawned in sorted shard order (on every
-        backend, inline included, so the derivation is backend-independent).
-        The second tuple element carries the ``(ticket position, piece
+        with its own child stream spawned from ``rng`` in sorted shard
+        order.  ``rng`` is the flush stream (inline) or the batch's child
+        (pooled) — see :meth:`_execute_batches`.  The second tuple element carries the ``(ticket position, piece
         index)`` entries needed to gather shard results, ``None`` for
         unsharded units.
         """
@@ -1247,40 +1068,6 @@ class FlushPipeline:
         return TicketNoise(
             stds=stds, shard_bases=shard_bases if bases_complete and shard_bases else None
         )
-
-    def _execute_one(
-        self,
-        batch: PlannedBatch,
-        rng: np.random.Generator,
-        trace: Optional["Trace"] = None,
-        stage_span=None,
-    ) -> None:
-        """Inline execute: the backends' unit/gather code, run sequentially.
-
-        One code path for every backend — the same :meth:`_units_for` cuts
-        the batch, the same :func:`run_unit` answers each unit, the same
-        :meth:`_assemble_batch` gathers — so inline and pooled engines can
-        never diverge in scatter/gather semantics.
-        """
-        try:
-            units = self._units_for(batch, rng)
-            results = []
-            for unit, entries in units:
-                unit_wall = time.time() if trace is not None else 0.0
-                vectors, model = run_unit(
-                    unit.plan,
-                    unit.workloads,
-                    unit.database,
-                    unit.rng,
-                    unit.want_noise,
-                )
-                results.append((entries, vectors, model))
-                self._obs_unit_done(trace, unit, unit_wall, None, parent=stage_span)
-            self._assemble_batch(batch, results)
-        except Exception as exc:
-            batch.execute_error = (
-                f"Batch execution failed (charge rolled back): {exc}"
-            )
 
     def _resolve_batch(
         self, batch: PlannedBatch, trace: Optional["Trace"] = None

@@ -149,7 +149,7 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--execute-backend",
         default=None,
-        choices=("inline", "thread", "process", "adaptive"),
+        choices=("inline", "process"),
         help="execute-stage backend (engine default when omitted)",
     )
     parser.add_argument(

@@ -23,10 +23,10 @@ from repro.engine import (
     MetricsRegistry,
     Observability,
     PrivateQueryEngine,
-    ThreadExecuteBackend,
+    ProcessExecuteBackend,
     Tracer,
 )
-from repro.engine.parallel import execute_unit_via
+from repro.engine.parallel import ExecuteUnitGroup, execute_groups
 from repro.exceptions import PrivacyBudgetError
 from repro.policy import line_policy
 
@@ -509,12 +509,12 @@ class TestAuditStream:
         obs = Observability(enabled=True, audit=audit)
         engine = make_engine(database, domain, observability=obs)
         engine.open_session("alice", 10.0)
-        import repro.engine.pipeline as pipeline_module
+        import repro.engine.parallel as parallel_module
 
         def broken_run_unit(*args, **kwargs):
             raise RuntimeError("kernel exploded")
 
-        monkeypatch.setattr(pipeline_module, "run_unit", broken_run_unit)
+        monkeypatch.setattr(parallel_module, "run_unit", broken_run_unit)
         ticket = engine.submit("alice", identity_workload(domain), epsilon=0.5)
         engine.flush()
         assert ticket.status == "refused"
@@ -570,7 +570,7 @@ class TestDegradationLogging:
         plan = engine.plan_cache.plan_for(
             line_policy(domain), 0.5, prefer_data_dependent=False, consistency=False
         )
-        backend = ThreadExecuteBackend(2)
+        backend = ProcessExecuteBackend(2)
         backend.close(wait=True)
         unit = ExecuteUnit(
             plan=plan,
@@ -578,41 +578,15 @@ class TestDegradationLogging:
             database=database,
             rng=np.random.default_rng(3),
         )
+        group = ExecuteUnitGroup(units=(unit,))
         with caplog.at_level(logging.WARNING, logger="repro.engine.parallel"):
-            vectors, _ = execute_unit_via(backend, unit)
+            (done,) = execute_groups(backend, [(None, group)])
+        ((status, vectors, _),) = done.outcomes
+        assert status == "ok"
         assert vectors[0].shape == (16,)
         assert any(
             "closed mid-call" in record.message for record in caplog.records
         )
-
-    def test_serialisation_degrade_logs(self, database, domain, caplog):
-        from repro.engine import ExecuteCostModel
-        from repro.engine.parallel import _PlanSerialisationError
-
-        engine = make_engine(
-            database,
-            domain,
-            execute_workers=2,
-            execute_backend="adaptive",
-            execute_cost_model=ExecuteCostModel(default_kernel_seconds=60.0),
-        )
-        with engine:
-            engine.open_session("alice", 10.0)
-            backend = engine._execute_backend
-
-            def unpicklable_submit(unit):
-                raise _PlanSerialisationError("cannot pickle this plan")
-
-            backend._process.submit = unpicklable_submit
-            first = engine.submit("alice", identity_workload(domain), epsilon=0.5)
-            second = engine.submit("alice", cumulative_workload(domain), epsilon=0.25)
-            with caplog.at_level(logging.WARNING, logger="repro.engine.parallel"):
-                engine.flush()
-            assert first.status == second.status == "answered"
-            assert any(
-                "cannot cross the process boundary" in record.message
-                for record in caplog.records
-            )
 
     def test_blob_miss_recovery_logs(self, database, domain, caplog):
         from repro.engine import ProcessExecuteBackend

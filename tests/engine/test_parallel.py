@@ -1,4 +1,4 @@
-"""Process-parallel execute backend: determinism, ledgers, stats, lifecycle."""
+"""Execute backends (inline and process pool): determinism, ledgers, stats, lifecycle."""
 
 from __future__ import annotations
 
@@ -17,7 +17,9 @@ from repro.core import (
 from repro.core.workload import Workload
 from repro.engine import PlanCache, PrivateQueryEngine, ShardSet
 from repro.engine.parallel import (
+    INLINE_BACKEND,
     ExecuteUnit,
+    ExecuteUnitGroup,
     ProcessExecuteBackend,
     create_execute_backend,
     run_unit,
@@ -122,6 +124,13 @@ def flush_stream(index: int) -> np.random.Generator:
     return np.random.default_rng(SEED).spawn(index + 1)[index]
 
 
+def run_alone(backend, unit):
+    """Dispatch ``unit`` as a group of one; returns its ``(vectors, model)``."""
+    (outcome,) = backend.submit_group(ExecuteUnitGroup(units=(unit,))).result()
+    assert outcome[0] == "ok", outcome
+    return outcome[1], outcome[2]
+
+
 def spawn(rng: np.random.Generator, count: int):
     return list(rng.spawn(count))
 
@@ -193,11 +202,6 @@ def inline_run(domain, database, split_policy):
 
 
 @pytest.fixture(scope="module")
-def thread_run(domain, database, split_policy):
-    return serve_stream(domain, database, split_policy, "thread")
-
-
-@pytest.fixture(scope="module")
 def process_run(domain, database, split_policy):
     return serve_stream(domain, database, split_policy, "process")
 
@@ -261,7 +265,7 @@ class TestBackendSelection:
             execute_workers=1,
             execute_backend="process",
         )
-        assert engine._execute_backend is None
+        assert engine._execute_backend is INLINE_BACKEND
         assert engine.stats.execute_backend == "inline"
 
     def test_unknown_backend_is_rejected(self, domain, database):
@@ -276,46 +280,87 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="execute backend"):
             create_execute_backend("greenlet", 4)
 
+    @pytest.mark.parametrize("removed", ["thread", "adaptive"])
+    def test_removed_backends_name_the_accepted_values(
+        self, domain, database, removed
+    ):
+        with pytest.raises(ValueError, match="'inline' or 'process'"):
+            PrivateQueryEngine(
+                database,
+                total_epsilon=10.0,
+                default_policy=line_policy(domain),
+                execute_workers=2,
+                execute_backend=removed,
+            )
 
-class TestThreadVsProcessDeterminism:
-    def test_every_ticket_answers_on_both_backends(self, thread_run, process_run):
-        assert thread_run["statuses"] == ["answered"] * 5
+    def test_default_backend_is_the_process_pool(self, domain, database):
+        with PrivateQueryEngine(
+            database,
+            total_epsilon=10.0,
+            default_policy=line_policy(domain),
+            execute_workers=2,
+        ) as engine:
+            assert isinstance(engine._execute_backend, ProcessExecuteBackend)
+            assert engine.stats.execute_backend == "process"
+
+    def test_inline_backend_ignores_the_worker_count(self, domain, database):
+        engine = PrivateQueryEngine(
+            database,
+            total_epsilon=10.0,
+            default_policy=line_policy(domain),
+            execute_workers=4,
+            execute_backend="inline",
+        )
+        assert engine._execute_backend is INLINE_BACKEND
+        assert engine.stats.execute_backend == "inline"
+
+    def test_demo_engine_accepts_the_inline_backend(self):
+        """``python -m repro.engine.serving --execute-backend inline``."""
+        from repro.engine.serving.__main__ import build_demo_engine
+
+        engine = build_demo_engine(execute_backend="inline")
+        assert engine.stats.execute_backend == "inline"
+
+
+class TestInlineVsProcessRuns:
+    """The same stream served inline and on a process pool.
+
+    Their draws follow different derivations (pinned separately by
+    :class:`TestDerivationOracle`); everything else must agree.
+    """
+
+    def test_every_ticket_answers_on_both_backends(self, inline_run, process_run):
+        assert inline_run["statuses"] == ["answered"] * 5
         assert process_run["statuses"] == ["answered"] * 5
 
-    def test_same_seed_draws_identical_noise(self, thread_run, process_run):
-        """Identical seed derivations: thread and process produce the same
-        vectors bit-for-bit, so switching backends never changes answers."""
-        for thread_vec, process_vec in zip(
-            thread_run["answers"], process_run["answers"]
-        ):
-            np.testing.assert_array_equal(thread_vec, process_vec)
+    def test_epsilon_ledgers_are_byte_identical(self, inline_run, process_run):
+        assert inline_run["ledger"] == process_run["ledger"]
+        assert len(inline_run["ledger"]) == 5
 
-    def test_epsilon_ledgers_are_byte_identical(self, thread_run, process_run):
-        assert thread_run["ledger"] == process_run["ledger"]
-        assert len(thread_run["ledger"]) == 5
-
-    def test_backend_costs_are_observable(self, thread_run, process_run):
-        thread_stats, process_stats = thread_run["stats"], process_run["stats"]
-        assert thread_stats.execute_backend == "thread"
+    def test_backend_costs_are_observable(self, inline_run, process_run):
+        inline_stats, process_stats = inline_run["stats"], process_run["stats"]
+        assert inline_stats.execute_backend == "inline"
         assert process_stats.execute_backend == "process"
-        # 3 unsharded units + 2 per-shard units of the sharded batch.
-        assert thread_stats.worker_dispatches == 5
+        # 3 unsharded units + 2 per-shard units of the sharded batch, each
+        # its own dispatch (5 units, but no ε group holds more than 2).
+        assert inline_stats.worker_dispatches == 0
         assert process_stats.worker_dispatches == 5
-        assert thread_stats.serialization_seconds == 0.0
+        assert inline_stats.serialization_seconds == 0.0
         assert process_stats.serialization_seconds > 0.0
 
-    def test_sharded_batches_took_the_scatter_path(self, process_run):
+    def test_sharded_batches_took_the_scatter_path(self, inline_run, process_run):
+        assert inline_run["stats"].sharded_batches == 1
         assert process_run["stats"].sharded_batches == 1
 
 
 class TestLifecycle:
     def test_closed_engine_serves_inline_and_keeps_telemetry(
-        self, thread_run, process_run
+        self, inline_run, process_run
     ):
         # Module fixtures already closed these engines via the context
         # manager; they must keep answering on the flushing thread, while
         # stats keep reporting the backend's lifetime telemetry (not zeros).
-        for run, backend_name in ((thread_run, "thread"), (process_run, "process")):
+        for run, backend_name in ((inline_run, "inline"), (process_run, "process")):
             engine = run["engine"]
             answers = engine.ask(
                 "alice", identity_workload(engine.database.domain), epsilon=0.25
@@ -341,15 +386,15 @@ class TestLifecycle:
             enable_answer_cache=False,
             random_state=1,
             execute_workers=2,
-            execute_backend="thread",
+            execute_backend="process",
         )
         with engine:
             session = engine.open_session("carol", 20.0)
 
-            def broken_submit(unit):
+            def broken_submit(group):
                 raise BrokenProcessPool("worker died")
 
-            engine._execute_backend.submit = broken_submit
+            engine._execute_backend.submit_group = broken_submit
             # Two epsilon groups: multi-unit flushes go through the backend
             # (a lone unit would short-circuit to inline execution).
             first = engine.submit("carol", identity_workload(domain), epsilon=0.5)
@@ -373,7 +418,7 @@ class TestLifecycle:
             enable_answer_cache=False,
             random_state=1,
             execute_workers=2,
-            execute_backend="thread",
+            execute_backend="process",
         )
         with engine:
             engine.open_session("dave", 20.0)
@@ -385,6 +430,77 @@ class TestLifecycle:
             engine.submit("dave", cumulative_workload(domain), epsilon=0.25)
             engine.flush()
             assert engine.stats.worker_dispatches == 2
+
+    def test_broken_process_pool_rolls_the_batch_back(self, domain, database):
+        """A pool that breaks while the flush awaits its results fails every
+        member of the broken dispatches (rollback + the pool's own error),
+        without an inline re-run."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.exceptions import PrivacyBudgetError
+
+        class BrokenHandle:
+            protocol_hops: list = []
+            kernel_seconds_list = None
+
+            def result(self, timeout=None):
+                raise BrokenProcessPool("worker died mid-dispatch")
+
+        with PrivateQueryEngine(
+            database,
+            total_epsilon=50.0,
+            default_policy=line_policy(domain),
+            prefer_data_dependent=False,
+            consistency=False,
+            enable_answer_cache=False,
+            random_state=1,
+            execute_workers=2,
+            execute_backend="process",
+        ) as engine:
+            session = engine.open_session("carol", 20.0)
+            engine._execute_backend.submit_group = lambda group: BrokenHandle()
+            first = engine.submit("carol", identity_workload(domain), epsilon=0.5)
+            second = engine.submit("carol", cumulative_workload(domain), epsilon=0.25)
+            engine.flush()
+            assert first.status == second.status == "refused"
+            with pytest.raises(PrivacyBudgetError, match="worker died mid-dispatch"):
+                first.result()
+            assert session.spent() == 0.0
+
+    def test_unpicklable_payload_rolls_back_only_its_batch(self, domain, database):
+        """A dispatch that cannot be serialised fails its own batch; the
+        rest of the flush is served."""
+        from repro.exceptions import PrivacyBudgetError
+
+        with PrivateQueryEngine(
+            database,
+            total_epsilon=50.0,
+            default_policy=line_policy(domain),
+            prefer_data_dependent=False,
+            consistency=False,
+            enable_answer_cache=False,
+            random_state=1,
+            execute_workers=2,
+            execute_backend="process",
+        ) as engine:
+            session = engine.open_session("erin", 20.0)
+            backend = engine._execute_backend
+            real_submit = backend.submit_group
+
+            def picky_submit(group):
+                if group.units[0].workloads[0].name == "Cumulative":
+                    raise TypeError("cannot pickle this payload")
+                return real_submit(group)
+
+            backend.submit_group = picky_submit
+            kept = engine.submit("erin", identity_workload(domain), epsilon=0.5)
+            failed = engine.submit("erin", cumulative_workload(domain), epsilon=0.25)
+            engine.flush()
+            assert kept.status == "answered"
+            assert failed.status == "refused"
+            with pytest.raises(PrivacyBudgetError, match="cannot pickle"):
+                failed.result()
+            assert session.spent() == pytest.approx(0.5)
 
     def test_close_clears_the_blob_memos(self, domain, database):
         """The db memo pins Database objects (and their histograms); both
@@ -400,14 +516,14 @@ class TestLifecycle:
             database=database,
             rng=np.random.default_rng(0),
         )
-        backend.submit(unit).result()
+        run_alone(backend, unit)
         assert backend._plan_blobs and backend._db_blobs
         backend.close()
         assert not backend._plan_blobs
         assert not backend._db_blobs
         assert not backend._shipped_digests
         with pytest.raises(RuntimeError):
-            backend.submit(unit)
+            backend.submit_group(ExecuteUnitGroup(units=(unit,)))
 
     def test_worker_plan_memo_keeps_dispatching(self, domain, database):
         """Repeat flushes reuse worker-side plans (dispatch count grows,
@@ -476,10 +592,10 @@ class TestMissOnlyBlobProtocol:
         backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
         try:
             unit, _ = self.make_unit(plan, domain, database, 1)
-            backend.submit(unit).result()
+            run_alone(backend, unit)
             first = backend.bytes_shipped
             unit, _ = self.make_unit(plan, domain, database, 2)
-            backend.submit(unit).result()
+            run_alone(backend, unit)
             steady = backend.bytes_shipped - first
             # The pool was created lazily at the first dispatch, so plan and
             # database were preloaded via the initializer: NO dispatch ever
@@ -501,10 +617,10 @@ class TestMissOnlyBlobProtocol:
         )
         try:
             unit, _ = self.make_unit(plan, domain, database, 1)
-            backend.submit(unit).result()
+            run_alone(backend, unit)
             first = backend.bytes_shipped
             unit, _ = self.make_unit(plan, domain, database, 2)
-            backend.submit(unit).result()
+            run_alone(backend, unit)
             steady = backend.bytes_shipped - first
             assert steady > len(pickle.dumps(plan))  # blobs cross every time
         finally:
@@ -519,7 +635,7 @@ class TestMissOnlyBlobProtocol:
         backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
         try:
             warm_unit, _ = self.make_unit(plan, domain, database, 1)
-            backend.submit(warm_unit).result()  # creates the pool
+            run_alone(backend, warm_unit)  # creates the pool
             # Planned after pool creation → not in the initializer preload.
             late_plan = PlanCache().plan_for(
                 line_policy(domain),
@@ -528,12 +644,12 @@ class TestMissOnlyBlobProtocol:
                 consistency=False,
             )
             unit, _ = self.make_unit(late_plan, domain, database, 2)
-            backend.submit(unit).result()  # eagerly ships the blob once
+            run_alone(backend, unit)  # eagerly ships the blob once
             assert backend.blob_cache_misses == 0
 
             assert backend.reset_resident_caches() == 1
             unit, reference_rng = self.make_unit(late_plan, domain, database, 3)
-            vectors, _ = backend.submit(unit).result()
+            vectors, _ = run_alone(backend, unit)
             reference, _ = run_unit(
                 late_plan, unit.workloads, database, reference_rng
             )
@@ -549,10 +665,10 @@ class TestMissOnlyBlobProtocol:
         backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
         try:
             unit, _ = self.make_unit(plan, domain, database, 1)
-            backend.submit(unit).result()
+            run_alone(backend, unit)
             backend.reset_resident_caches()
             unit, reference_rng = self.make_unit(plan, domain, database, 2)
-            vectors, _ = backend.submit(unit).result()
+            vectors, _ = run_alone(backend, unit)
             reference, _ = run_unit(plan, unit.workloads, database, reference_rng)
             np.testing.assert_array_equal(vectors[0], reference[0])
             assert backend.blob_cache_misses == 0
@@ -592,7 +708,7 @@ class TestMissOnlyBlobProtocol:
         backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
         try:
             warm_unit, _ = self.make_unit(plan, domain, database, 1)
-            backend.submit(warm_unit).result()
+            run_alone(backend, warm_unit)
             late_plan = PlanCache().plan_for(
                 line_policy(domain),
                 0.125,
@@ -600,10 +716,10 @@ class TestMissOnlyBlobProtocol:
                 consistency=False,
             )
             unit, _ = self.make_unit(late_plan, domain, database, 2)
-            backend.submit(unit).result()
+            run_alone(backend, unit)
             backend.reset_resident_caches()
             unit, _ = self.make_unit(late_plan, domain, database, 3)
-            handle = backend.submit(unit)
+            handle = backend.submit_group(ExecuteUnitGroup(units=(unit,)))
             first = handle.result()
             resubmits = backend.resubmits
             misses = backend.blob_cache_misses

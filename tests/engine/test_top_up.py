@@ -186,15 +186,18 @@ class TestTopUpAccuracy:
 class TestTopUpBackendParity:
     """The increment and the noise metadata are backend-independent.
 
-    ``thread`` and ``process`` engines are byte-for-byte comparable (same
-    RNG derivation); the inline engine draws its flushes from a different
-    (documented) derivation, but the top-up measurement itself bypasses
-    batching, so its raw vector and metadata must match every backend.
+    Inline and process engines draw their flushes from different
+    (documented) derivations: a pooled engine's lone batch draws from the
+    flush stream's first child, an inline engine's from the flush stream
+    itself.  Handing the inline engine that child as its flush stream makes
+    the two byte-for-byte comparable.  The top-up measurement itself
+    bypasses batching, so its raw vector and metadata must match on every
+    backend regardless.
     """
 
-    def test_full_parity_between_thread_and_process(self, database, domain):
+    def test_full_parity_between_inline_and_process(self, database, domain):
         results = {}
-        for backend in ("thread", "process"):
+        for backend in ("inline", "process"):
             engine = make_engine(
                 database,
                 domain,
@@ -202,9 +205,14 @@ class TestTopUpBackendParity:
                 execute_workers=2,
                 execute_backend=backend,
             )
+            ask_stream = (
+                np.random.default_rng(41).spawn(1)[0] if backend == "inline" else 41
+            )
             try:
                 session = engine.open_session("a", 100.0)
-                engine.ask("a", identity_workload(domain), 1.0, random_state=41)
+                engine.ask(
+                    "a", identity_workload(domain), 1.0, random_state=ask_stream
+                )
                 upgraded = engine.top_up(
                     "a",
                     identity_workload(domain),
@@ -222,15 +230,29 @@ class TestTopUpBackendParity:
                 }
             finally:
                 engine.close()
-        thread, process = results["thread"], results["process"]
-        assert process["spent"] == pytest.approx(thread["spent"])
-        np.testing.assert_array_equal(process["raw"], thread["raw"])
-        np.testing.assert_array_equal(process["answers"], thread["answers"])
+        inline, process = results["inline"], results["process"]
+        assert process["spent"] == pytest.approx(inline["spent"])
+        np.testing.assert_array_equal(process["raw"], inline["raw"])
+        np.testing.assert_array_equal(process["answers"], inline["answers"])
         # Noise metadata survives the process round trip bit-identically.
-        np.testing.assert_array_equal(process["stds"], thread["stds"])
-        np.testing.assert_array_equal(process["basis"], thread["basis"])
+        np.testing.assert_array_equal(process["stds"], inline["stds"])
+        np.testing.assert_array_equal(process["basis"], inline["basis"])
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_top_up_runs_through_the_process_backend(self, database, domain):
+        """top_up's unit is one dispatch to the pool, and the combined
+        answer comes back."""
+        with make_engine(
+            database, domain, execute_workers=2, execute_backend="process"
+        ) as engine:
+            engine.open_session("erin", 20.0)
+            engine.ask("erin", identity_workload(domain), epsilon=0.5)
+            before = engine.stats.worker_dispatches
+            upgraded = engine.top_up("erin", identity_workload(domain), 0.25)
+            assert upgraded.shape == (24,)
+            assert engine.stats.worker_dispatches == before + 1
+            assert engine.stats.top_ups == 1
+
+    @pytest.mark.parametrize("backend", ["process"])
     def test_top_up_measurement_matches_inline(self, database, domain, backend):
         """The seeded top-up unit draws identically on every backend."""
         results = {}
