@@ -207,10 +207,10 @@ class _CompletedGroup:
 
     __slots__ = ("_outcomes", "kernel_seconds_list", "protocol_hops")
 
-    def __init__(self, outcomes, kernels, hops: Sequence[dict] = ()) -> None:
+    def __init__(self, outcomes, kernels) -> None:
         self._outcomes = outcomes
         self.kernel_seconds_list: List[Optional[float]] = kernels
-        self.protocol_hops: List[dict] = list(hops)
+        self.protocol_hops: List[dict] = []
 
     def result(self, timeout: Optional[float] = None) -> List[GroupOutcome]:
         return self._outcomes
@@ -316,10 +316,8 @@ def execute_groups(
     fails all its members; a failing kernel fails its member alone), and
     the caller rolls the matching charges back.
     """
-    pending = [
-        (tag, group, time.time(), _submit(backend, group)) for tag, group in groups
-    ]
-    for tag, group, submitted, parts in pending:
+    pending = [(tag, time.time(), _submit(backend, group)) for tag, group in groups]
+    for tag, submitted, parts in pending:
         outcomes: List[GroupOutcome] = []
         kernels: List[Optional[float]] = []
         hops: List[dict] = []
