@@ -185,7 +185,11 @@ def run_equivalence():
             statuses = [ticket.status for ticket in tickets]
         return ledger, answers, statuses
 
-    configs = {"process-2": ("process", 2), "process-4": ("process", 4), "inline": ("inline", 1)}
+    configs = {
+        "process-2": ("process", 2),
+        "process-4": ("process", 4),
+        "inline": ("inline", 1),
+    }
     runs = {name: serve(*config) for name, config in configs.items()}
     reference_ledger, reference_answers, _ = runs["process-2"]
     ledgers_identical = all(run[0] == reference_ledger for run in runs.values())
@@ -363,7 +367,10 @@ def main() -> int:
         print("FAIL: inline and process engines produced different epsilon ledgers")
         ok = False
     if not equivalence["answers_identical"]:
-        print("FAIL: process pools of 2 and 4 workers drew different noise for one seed")
+        print(
+            "FAIL: process pools of 2 and 4 workers drew different noise "
+            "for one seed"
+        )
         ok = False
     if warm_start["plan_cache_hit_rate"] != 1.0 or warm_start["warm_plan_misses"] != 0:
         print(

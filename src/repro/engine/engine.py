@@ -1010,7 +1010,7 @@ class PrivateQueryEngine:
         )
         # The flush pipeline's dispatch loop and failure ladder, for one
         # group of one unit.
-        span = trace.span("execute", label=label) if trace is not None else nullcontext()
+        span = nullcontext() if trace is None else trace.span("execute", label=label)
         with span:
             (done,) = execute_groups(self._execute_backend, [(None, group)])
         outcome = done.outcomes[0]

@@ -444,7 +444,9 @@ def _execute_shipped_group(
         return _BlobMiss(tuple(missing))
     group = ExecuteUnitGroup(
         units=tuple(
-            ExecuteUnit(resolved[plan_digest], workloads, resolved[db_digest], rng, want_noise)
+            ExecuteUnit(
+                resolved[plan_digest], workloads, resolved[db_digest], rng, want_noise
+            )
             for (plan_digest, _, db_digest, _), (workloads, rng, want_noise) in zip(
                 members, pickle.loads(payload_blob)
             )

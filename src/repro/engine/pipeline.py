@@ -827,7 +827,8 @@ class FlushPipeline:
         """``(batch, unit, entries)`` for each unit of ``batch`` (see
         :meth:`_units_for`); a batch that cannot be cut fails here."""
         try:
-            return [(batch, unit, entries) for unit, entries in self._units_for(batch, rng)]
+            units = self._units_for(batch, rng)
+            return [(batch, unit, entries) for unit, entries in units]
         except Exception as exc:
             batch.execute_error = f"Batch execution failed (charge rolled back): {exc}"
             return []
@@ -884,9 +885,9 @@ class FlushPipeline:
         on ``rng`` itself; sharded batches one unit per touched shard, each
         with its own child stream spawned from ``rng`` in sorted shard
         order.  ``rng`` is the flush stream (inline) or the batch's child
-        (pooled) — see :meth:`_execute_batches`.  The second tuple element carries the ``(ticket position, piece
-        index)`` entries needed to gather shard results, ``None`` for
-        unsharded units.
+        (pooled) — see :meth:`_execute_batches`.  The second tuple element
+        carries the ``(ticket position, piece index)`` entries needed to
+        gather shard results, ``None`` for unsharded units.
         """
         engine = self._engine
         # Without an answer cache nothing stores noise metadata, so units

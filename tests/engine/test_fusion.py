@@ -97,9 +97,14 @@ def pooled_oracle(domain, database, segmented_policy):
         vectors = {}
         for piece, rng in zip(pieces, grandchildren):
             plan = piece.shard.plan_cache.plan_for(
-                piece.shard.policy, epsilon, prefer_data_dependent=True, consistency=True
+                piece.shard.policy,
+                epsilon,
+                prefer_data_dependent=True,
+                consistency=True,
             )
-            (vector,), _ = run_unit(plan, [piece.workload], piece.shard.database, rng, False)
+            (vector,), _ = run_unit(
+                plan, [piece.workload], piece.shard.database, rng, False
+            )
             vectors[piece.shard.index] = vector
         answers.append(
             scatter.gather([vectors[piece.shard.index] for piece in scatter.pieces])

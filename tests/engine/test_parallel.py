@@ -1,4 +1,4 @@
-"""Execute backends (inline and process pool): determinism, ledgers, stats, lifecycle."""
+"""Execute backends, inline and process pool: draws, ledgers, stats, lifecycle."""
 
 from __future__ import annotations
 
