@@ -42,44 +42,40 @@ def isotonic_regression(
     if values.size == 0:
         return values.copy()
     if weights is None:
-        weights = np.ones_like(values)
+        weight_list = [1.0] * values.size
     else:
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if weights.shape != values.shape:
             raise ReproError("weights must have the same shape as values")
         if np.any(weights <= 0):
             raise ReproError("weights must be strictly positive")
-
+        weight_list = weights.tolist()
+    value_list = values.tolist()
     if not increasing:
-        return isotonic_regression(values[::-1], weights[::-1], increasing=True)[::-1]
+        value_list.reverse()
+        weight_list.reverse()
 
-    # Pool adjacent violators: maintain a stack of blocks (mean, weight, count).
+    # Pool adjacent violators over Python floats: a stack of blocks (mean,
+    # weight, count).  The incoming block absorbs every preceding block whose
+    # mean exceeds its own, merging as (m1 * w1 + m2 * w2) / (w1 + w2) in
+    # stack order, so the arithmetic is fixed and the output deterministic.
     block_means: list[float] = []
     block_weights: list[float] = []
     block_counts: list[int] = []
-    for value, weight in zip(values, weights):
-        block_means.append(float(value))
-        block_weights.append(float(weight))
-        block_counts.append(1)
-        while len(block_means) > 1 and block_means[-2] > block_means[-1]:
-            merged_weight = block_weights[-2] + block_weights[-1]
-            merged_mean = (
-                block_means[-2] * block_weights[-2] + block_means[-1] * block_weights[-1]
-            ) / merged_weight
-            merged_count = block_counts[-2] + block_counts[-1]
-            for stack in (block_means, block_weights, block_counts):
-                stack.pop()
-                stack.pop()
-            block_means.append(merged_mean)
-            block_weights.append(merged_weight)
-            block_counts.append(merged_count)
+    for mean, weight in zip(value_list, weight_list):
+        count = 1
+        while block_means and block_means[-1] > mean:
+            previous_weight = block_weights.pop()
+            merged_weight = previous_weight + weight
+            mean = (block_means.pop() * previous_weight + mean * weight) / merged_weight
+            weight = merged_weight
+            count += block_counts.pop()
+        block_means.append(mean)
+        block_weights.append(weight)
+        block_counts.append(count)
 
-    result = np.empty_like(values)
-    position = 0
-    for mean, count in zip(block_means, block_counts):
-        result[position : position + count] = mean
-        position += count
-    return result
+    result = np.repeat(np.array(block_means, dtype=np.float64), block_counts)
+    return result if increasing else result[::-1]
 
 
 def consistent_prefix_sums(
