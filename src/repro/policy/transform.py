@@ -83,6 +83,20 @@ class TransformedInstance:
         return np.asarray(self.workload_matrix @ self.database_vector).ravel() + self.offset
 
 
+@dataclass(frozen=True)
+class _OffsetLayout:
+    """Policy-only inputs of :meth:`PolicyTransform.offset`.
+
+    Slot ``s`` is the ``s``-th component (in component order) that lost a
+    vertex to the Case II reduction: ``members[s]`` holds its sorted members
+    and ``slot_of_vertex`` maps its removed vertex to ``s`` (every other
+    vertex maps to ``-1``).
+    """
+
+    slot_of_vertex: np.ndarray
+    members: List[np.ndarray]
+
+
 class PolicyTransform:
     """Constructs ``P_G`` and the associated workload/database transforms.
 
@@ -130,6 +144,10 @@ class PolicyTransform:
         self._gram_handle = None
         self._workload_handles: Dict[str, object] = {}
         self._gram_lock = threading.Lock()
+        # Policy-only pieces built on first use and dropped when pickled:
+        # the reduction matrix D and the per-component offset layout.
+        self._reduction: Optional[sp.csr_matrix] = None
+        self._offset_layout: Optional[_OffsetLayout] = None
 
     # --------------------------------------------------------------- digests
     @property
@@ -183,6 +201,8 @@ class PolicyTransform:
         state["_gram_handle"] = None
         state["_workload_handles"] = {}
         del state["_gram_lock"]
+        del state["_reduction"]
+        del state["_offset_layout"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -196,6 +216,8 @@ class PolicyTransform:
         self._gram_handle = None
         self._workload_handles = {}
         self._gram_lock = threading.Lock()
+        self._reduction = None
+        self._offset_layout = None
 
     # ----------------------------------------------------------- construction
     def _choose_removed_vertices(
@@ -349,7 +371,17 @@ class PolicyTransform:
         ``W' = W D``.  Column ``j'`` (for kept vertex ``j``) carries a ``1``
         at row ``j`` and, when ``j``'s component had a vertex ``v_c`` removed,
         a ``-1`` at row ``v_c``.
+
+        Built once per transform and shared by every caller, so treat the
+        returned matrix as read-only.
         """
+        reduction = self._reduction
+        if reduction is None:
+            reduction = self._build_reduction_matrix()
+            self._reduction = reduction
+        return reduction
+
+    def _build_reduction_matrix(self) -> sp.csr_matrix:
         rows: List[int] = []
         cols: List[int] = []
         data: List[float] = []
@@ -417,19 +449,44 @@ class PolicyTransform:
         result = np.zeros(workload.num_queries, dtype=np.float64)
         if not self._removed:
             return result
-        matrix = sp.csc_matrix(workload.matrix)
+        layout = self._offset_layout
+        if layout is None:
+            layout = self._build_offset_layout()
+            self._offset_layout = layout
+        columns = self._removed_columns(workload.matrix, layout)
         counts = database.counts
+        for slot, members in enumerate(layout.members):
+            component_total = float(counts[members].sum())
+            result += component_total * columns[slot]
+        return result
+
+    def _build_offset_layout(self) -> _OffsetLayout:
+        slot_of_vertex = np.full(self._policy.domain.size, -1, dtype=np.int64)
+        members: List[np.ndarray] = []
         for index, component in enumerate(self._components):
             removed = self._removed_by_component[index]
             if removed is None:
                 continue
-            members = np.array(
-                sorted(int(v) for v in component if not is_bottom(v)), dtype=np.int64
+            slot_of_vertex[int(removed)] = len(members)
+            members.append(
+                np.array(sorted(int(v) for v in component if not is_bottom(v)), dtype=np.int64)
             )
-            component_total = float(counts[members].sum())
-            column = np.asarray(matrix.getcol(int(removed)).todense()).ravel()
-            result += component_total * column
-        return result
+        return _OffsetLayout(slot_of_vertex=slot_of_vertex, members=members)
+
+    @staticmethod
+    def _removed_columns(matrix: sp.csr_matrix, layout: _OffsetLayout) -> np.ndarray:
+        """The removed vertices' columns of ``W``, one dense row per slot.
+
+        One pass over the CSR entries.  Entries accumulate in stored order,
+        as densifying a CSC column does, so duplicate entries sum alike.
+        """
+        columns = np.zeros((len(layout.members), matrix.shape[0]), dtype=np.float64)
+        positions = np.flatnonzero(layout.slot_of_vertex[matrix.indices] >= 0)
+        if positions.size:
+            rows = np.searchsorted(matrix.indptr, positions, side="right") - 1
+            slots = layout.slot_of_vertex[matrix.indices[positions]]
+            np.add.at(columns, (slots, rows), matrix.data[positions])
+        return columns
 
     def transform_database(self, database: Database) -> np.ndarray:
         """The transformed database ``x_G`` with ``P_G x_G = x`` (kept entries).

@@ -17,6 +17,8 @@ used by the test-suite.
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +29,10 @@ from ..core.database import Database
 from ..exceptions import PolicyNotTreeError, TransformError
 from .graph import BOTTOM, PolicyGraph, is_bottom
 from .transform import PolicyTransform
+
+#: Transformed databases one :class:`TreeTransform` remembers.  A process
+#: answers from one histogram (or one per shard), so a few entries suffice.
+_DATABASE_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,22 @@ class TreeTransform:
             )
         self._transform = transform
         self._structure = self._build_structure()
+        # x_G per content digest of the counts it came from.  It is derived
+        # from the private histogram, so it is never pickled: plans travel
+        # to worker processes and to disk without it.
+        self._database_memo: Dict[bytes, np.ndarray] = {}
+        self._memo_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_database_memo"]
+        del state["_memo_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._database_memo = {}
+        self._memo_lock = threading.Lock()
 
     # ----------------------------------------------------------- construction
     def _build_structure(self) -> TreeStructure:
@@ -177,11 +199,27 @@ class TreeTransform:
         and the sign matches the child's sign in the corresponding ``P_G``
         column, so that ``P_G x_G = x`` exactly.  For the line policy this is
         the prefix-sum vector.
+
+        The result is memoised per content of ``database.counts`` (so a
+        mutated or different histogram gets a fresh vector) and returned
+        read-only.
         """
         if database.domain != self.policy.domain:
             raise TransformError("Database domain does not match the policy domain")
-        kept = self._transform.kept_vertices
-        counts_kept = database.counts[kept]
+        counts = database.counts
+        key = hashlib.blake2b(np.ascontiguousarray(counts), digest_size=16).digest()
+        edge_values = self._database_memo.get(key)
+        if edge_values is None:
+            edge_values = self._subtree_counts(counts)
+            edge_values.flags.writeable = False
+            with self._memo_lock:
+                if len(self._database_memo) >= _DATABASE_MEMO_SIZE:
+                    del self._database_memo[next(iter(self._database_memo))]
+                self._database_memo[key] = edge_values
+        return edge_values
+
+    def _subtree_counts(self, counts: np.ndarray) -> np.ndarray:
+        counts_kept = counts[self._transform.kept_vertices]
         structure = self._structure
         subtree = counts_kept.copy()
         # Reverse topological accumulation (children before parents).
