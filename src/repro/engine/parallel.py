@@ -689,8 +689,9 @@ class ProcessExecuteBackend:
     # ------------------------------------------------------------- telemetry
     @property
     def dispatches(self) -> int:
-        """Number of work units shipped to worker processes so far
-        (protocol resubmits after a blob miss are counted separately)."""
+        """Number of group dispatches handed to the worker pool so far (a
+        fused group counts once; protocol resubmits after a blob miss are
+        counted separately)."""
         with self._counter_lock:
             return self._dispatches
 
