@@ -481,11 +481,12 @@ class PolicyTransform:
         as densifying a CSC column does, so duplicate entries sum alike.
         """
         columns = np.zeros((len(layout.members), matrix.shape[0]), dtype=np.float64)
-        positions = np.flatnonzero(layout.slot_of_vertex[matrix.indices] >= 0)
+        # np.take gathers int32 indices about twice as fast as fancy indexing.
+        slots = np.take(layout.slot_of_vertex, matrix.indices)
+        positions = np.flatnonzero(slots >= 0)
         if positions.size:
             rows = np.searchsorted(matrix.indptr, positions, side="right") - 1
-            slots = layout.slot_of_vertex[matrix.indices[positions]]
-            np.add.at(columns, (slots, rows), matrix.data[positions])
+            np.add.at(columns, (slots[positions], rows), matrix.data[positions])
         return columns
 
     def transform_database(self, database: Database) -> np.ndarray:

@@ -30,8 +30,9 @@ from ..exceptions import PolicyNotTreeError, TransformError
 from .graph import BOTTOM, PolicyGraph, is_bottom
 from .transform import PolicyTransform
 
-#: Transformed databases one :class:`TreeTransform` remembers.  A process
-#: answers from one histogram (or one per shard), so a few entries suffice.
+#: Transformed databases one :class:`TreeTransform` remembers.  The engine
+#: runs each plan on one histogram (a shard's plan on its sub-histogram), so
+#: a few entries suffice.
 _DATABASE_MEMO_SIZE = 4
 
 

@@ -57,8 +57,8 @@ def isotonic_regression(
 
     # Pool adjacent violators over Python floats: a stack of blocks (mean,
     # weight, count).  The incoming block absorbs every preceding block whose
-    # mean exceeds its own, merging as (m1 * w1 + m2 * w2) / (w1 + w2) in
-    # stack order, so the arithmetic is fixed and the output deterministic.
+    # mean exceeds its own, merging as (m1 * w1 + m2 * w2) / (w1 + w2).  Seeded
+    # answers depend on this exact merge order and arithmetic.
     block_means: list[float] = []
     block_weights: list[float] = []
     block_counts: list[int] = []
