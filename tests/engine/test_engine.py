@@ -179,7 +179,7 @@ class TestAnswerCache:
         spent_after_first = session.spent()
         replay = engine.ask("alice", workload, epsilon=0.5)
         np.testing.assert_array_equal(first, replay)
-        assert session.spent() == pytest.approx(spent_after_first)
+        assert session.spent() == spent_after_first  # exactly zero ε
         assert engine.stats.answer_cache_replays == 1
 
     def test_duplicate_queries_in_one_flush_pay_once(self, engine, domain):

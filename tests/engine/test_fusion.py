@@ -17,6 +17,7 @@ import pytest
 from repro.core import Database, Domain, identity_workload
 from repro.core.workload import Workload
 from repro.engine import PlanCache, PrivateQueryEngine, ShardSet
+from repro.engine.factorisation import set_store_enabled
 from repro.engine.parallel import (
     ExecuteUnit,
     ExecuteUnitGroup,
@@ -162,6 +163,33 @@ class TestFusedDeterminism:
     def test_ledgers_are_backend_and_fusion_independent(self, runs):
         assert runs["process-fused"]["ledger"] == runs["inline"]["ledger"]
         assert len(runs["inline"]["ledger"]) == len(EPSILONS)
+
+    def test_pool_of_four_draws_identical_noise(
+        self, runs, domain, database, segmented_policy
+    ):
+        # Four workers cut each 8-unit ε group into four fused chunks where
+        # two workers cut it into two: the draws must not notice.
+        four = serve(domain, database, segmented_policy, "process", 4)
+        assert four["stats"].fused_units == 16
+        for expected, got in zip(runs["process-fused"]["answers"], four["answers"]):
+            np.testing.assert_array_equal(expected, got)
+        assert four["ledger"] == runs["process-fused"]["ledger"]
+
+    def test_factorisation_store_off_draws_identical_noise(
+        self, runs, domain, database, segmented_policy
+    ):
+        # The store is a performance artifact: with it disabled, both the
+        # pooled and the inline derivation draw and charge exactly as before.
+        previous = set_store_enabled(False)
+        try:
+            pooled = serve(domain, database, segmented_policy, "process", 2)
+            inline = serve(domain, database, segmented_policy, "inline", None)
+        finally:
+            set_store_enabled(previous)
+        for name, run in (("process-fused", pooled), ("inline", inline)):
+            for expected, got in zip(runs[name]["answers"], run["answers"]):
+                np.testing.assert_array_equal(expected, got)
+            assert run["ledger"] == runs[name]["ledger"]
 
 
 class TestFusionTelemetry:

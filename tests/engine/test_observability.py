@@ -422,6 +422,18 @@ class TestProcessBackendSpans:
             for worker in workers:
                 assert worker.parent_id in unit_ids
                 assert worker.attributes["pid"] != os.getpid()
+            # One tree for the whole flush: each stage once, and the worker
+            # spans export nested inside it.
+            for stage in ("plan", "charge", "execute", "resolve"):
+                assert len(trace.find(stage)) == 1
+
+            def names(nodes):
+                for node in nodes:
+                    yield node["name"]
+                    yield from names(node["children"])
+
+            exported = list(names(json.loads(trace.to_json())["spans"]))
+            assert exported.count("worker") == 2
 
     def test_blob_miss_recovery_reports_both_hops(self, database, domain):
         from repro.engine import ProcessExecuteBackend
@@ -526,6 +538,38 @@ class TestAuditStream:
         # The ledger is whole again.
         assert engine.session("alice").spent() == 0.0
 
+    def test_every_audited_charge_names_a_completed_trace(self, database, domain):
+        """Three flushes of two ε groups, audited and traced vs. not.
+
+        The instrumented engine draws byte-identical answers, and each of
+        its six ticket charges in the audit stream names a finished trace.
+        """
+
+        def serve(observability):
+            engine = make_engine(
+                database, domain, random_state=1234, observability=observability
+            )
+            engine.open_session("alice", 20.0)
+            tickets = []
+            for round_index in range(3):
+                for workload, epsilon in (
+                    (identity_workload(domain), 0.4),
+                    (cumulative_workload(domain), 0.2),
+                ):
+                    tickets.append(engine.submit("alice", workload, epsilon))
+                engine.flush()
+            return [ticket.result() for ticket in tickets]
+
+        baseline = serve(None)
+        obs = Observability(enabled=True, audit=AuditLog())
+        observed = serve(obs)
+        for expected, actual in zip(baseline, observed):
+            assert expected.tobytes() == actual.tobytes()
+        charges = [r for r in obs.audit.events("charge") if "ticket_id" in r]
+        assert len(charges) == len(observed) == 6
+        for charge in charges:
+            assert obs.tracer.find(charge["trace_id"]) is not None
+
     def test_audit_without_tracing_still_attributes_tickets(
         self, database, domain
     ):
@@ -564,6 +608,47 @@ class TestDegradationLogging:
             "degrading" in record.message and "proxy" in record.message
             for record in caplog.records
         )
+
+    @staticmethod
+    def proxy_fallbacks(caplog, layout):
+        return [
+            record
+            for record in caplog.records
+            if record.name == "repro.engine.pipeline"
+            and layout in record.message
+            and "degrading" in record.message
+            and "proxy" in record.message
+        ]
+
+    def test_mis_sized_sharded_noise_model_logs_proxy_fallback(
+        self, database, domain, monkeypatch, caplog
+    ):
+        from repro.blowfish.algorithms import NamedAlgorithm
+        from repro.mechanisms.base import NoiseModel
+        from repro.policy import PolicyGraph
+
+        monkeypatch.setattr(
+            NamedAlgorithm,
+            "noise_model",
+            lambda self, workload: NoiseModel(stds=np.ones(3)),
+        )
+        split = PolicyGraph(
+            domain,
+            edges=[(i, i + 1) for i in range(7)] + [(i, i + 1) for i in range(8, 15)],
+            name="two-halves",
+        )
+        engine = make_engine(
+            database, domain, default_policy=split, enable_answer_cache=True
+        )
+        engine.open_session("alice", 10.0)
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            answers = engine.ask("alice", identity_workload(domain), epsilon=0.5)
+        assert answers.shape == (16,)
+        assert engine.stats.sharded_batches == 1
+        # One warning per shard unit, each degraded to the proxy.
+        assert len(self.proxy_fallbacks(caplog, "sharded unit")) == 2
+        (entry,) = engine.answer_cache._entries.values()
+        assert entry.measurements[0].noise_stds is None
 
     def test_closed_backend_inline_fallback_logs(self, database, domain, caplog):
         engine = make_engine(database, domain)

@@ -26,6 +26,7 @@ from repro.engine import (
     EXPIRED,
     BatchingExecutor,
     PrivateQueryEngine,
+    recover_accountant,
 )
 from repro.engine.serving import (
     AdmissionController,
@@ -585,6 +586,102 @@ class TestServingOverload:
         text = asyncio.run(scenario()).body.decode()
         assert "engine_queries_expired_total 1" in text
         engine.close()
+
+
+class TestLoadedVsCalm:
+    ADMITTED = 8
+
+    def serve(self, database, domain, ledger_path, loaded):
+        """Admit 8 queries over HTTP; a loaded run then piles abuse on top.
+
+        The abuse is 8 born-dead submits (admitted, resolved ``expired``
+        without queueing) and 8 submits the spent token bucket sheds with
+        429 — all after the admitted ones, because ticket ids are embedded
+        in charge labels.  Returns the admitted answers, every journalled
+        ledger operation and the engine's expired count.
+        """
+        engine = build_engine(
+            database, domain, random_state=23, durable_ledger=ledger_path
+        )
+        engine.open_session("alice", 20.0)
+        # A negligible refill rate: the burst covers the admitted queries
+        # plus the born-dead ones, and every later submit sheds whatever
+        # the wall clock does.
+        app = create_app(
+            engine,
+            max_batch_size=100_000,
+            max_delay=600.0,
+            admission=AdmissionController(
+                engine, client_rate=1e-9, client_burst=float(2 * self.ADMITTED)
+            ),
+        )
+
+        def post(body, headers=None):
+            request = Request(
+                "POST", "/api/queries", {}, headers or {},
+                json.dumps(body).encode(), True,
+            )
+            return app.dispatch(request)
+
+        def body(index):
+            row = [0.0] * domain.size
+            row[(7 * index) % domain.size] = 1.0
+            return {
+                "client_id": "alice",
+                "workload": {"kind": "rows", "rows": [row]},
+                "epsilon": 0.01,
+            }
+
+        async def scenario():
+            ticket_ids = []
+            for index in range(self.ADMITTED):
+                response = await post(body(index))
+                assert response.status == 202
+                ticket_ids.append(json.loads(response.body)["ticket_id"])
+            if loaded:
+                dead = {"x-request-deadline": str(time.time() - 60.0)}
+                for _ in range(self.ADMITTED):
+                    expired = await post(body(0), dead)
+                    assert expired.status == 202
+                    assert json.loads(expired.body)["status"] == "expired"
+                for _ in range(self.ADMITTED):
+                    assert (await post(body(0))).status == 429
+            await app.async_engine.flush()
+            answers = []
+            for ticket_id in ticket_ids:
+                poll = await app.dispatch(
+                    Request("GET", f"/api/queries/{ticket_id}", {}, {}, b"", True)
+                )
+                payload = json.loads(poll.body)
+                assert payload["status"] == "answered"
+                answers.append(payload["answers"])
+            await app.aclose()
+            return answers
+
+        answers = asyncio.run(scenario())
+        expired = engine.stats.queries_expired
+        engine.close()
+        reader, state = recover_accountant(ledger_path)
+        operations = [
+            (scope.label, op.label, op.epsilon)
+            for scope in state.scopes
+            for op in scope.accountant.operations
+        ] + [(None, op.label, op.epsilon) for op in state.accountant.operations]
+        reader.close()
+        return answers, operations, expired
+
+    def test_shed_and_expired_work_leaves_ledger_and_draws_unchanged(
+        self, database, domain, tmp_path
+    ):
+        loaded = self.serve(database, domain, str(tmp_path / "loaded.db"), True)
+        calm = self.serve(database, domain, str(tmp_path / "calm.db"), False)
+        loaded_answers, loaded_ops, loaded_expired = loaded
+        calm_answers, calm_ops, _ = calm
+        assert loaded_expired == self.ADMITTED
+        # The session allotment plus one charge per admitted query.
+        assert len(loaded_ops) == self.ADMITTED + 1
+        assert json.dumps(loaded_ops) == json.dumps(calm_ops)
+        assert loaded_answers == calm_answers
 
 
 # ------------------------------------------------------------- graceful drain

@@ -626,6 +626,49 @@ class TestMissOnlyBlobProtocol:
         finally:
             backend.close()
 
+    def test_steady_state_bytes_are_a_tenth_of_shipping_the_blobs(self):
+        """At 16384 cells the blobs dominate, yet never cross the pipe.
+
+        Narrow 8-range workloads keep the payload every dispatch still
+        ships small, and the histogram makes the database blob large: a
+        digest-only steady-state dispatch must carry at most a tenth of
+        what shipping the plan and database blobs with it would carry.
+        """
+        domain = Domain((16384,))
+        counts = np.random.default_rng(7).integers(0, 50, size=16384).astype(float)
+        database = Database(domain, counts, name="wide")
+        plan = PlanCache().plan_for(
+            line_policy(domain), 0.5, prefer_data_dependent=False, consistency=False
+        )
+
+        def narrow_unit(seed):
+            rng = np.random.default_rng(seed)
+            matrix = np.zeros((8, domain.size))
+            for row in range(8):
+                lo = int(rng.integers(0, domain.size - 32))
+                matrix[row, lo : lo + int(rng.integers(1, 32)) + 1] = 1.0
+            return ExecuteUnit(
+                plan=plan,
+                workloads=[Workload(domain, matrix, name=f"narrow-{seed}")],
+                database=database,
+                rng=np.random.default_rng(seed),
+                want_noise=False,
+            )
+
+        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        try:
+            for seed in (1, 2):  # pool creation + parent-side memo fill
+                run_alone(backend, narrow_unit(seed))
+            before = backend.bytes_shipped
+            for seed in range(10, 13):
+                run_alone(backend, narrow_unit(seed))
+            steady = (backend.bytes_shipped - before) / 3
+            assert backend.blob_cache_misses == 0
+            blobs = len(pickle.dumps(plan)) + len(pickle.dumps(database))
+            assert steady * 10 <= steady + blobs
+        finally:
+            backend.close()
+
     def test_respawned_worker_recovers_through_the_miss_path(
         self, domain, database, plan
     ):

@@ -138,6 +138,54 @@ class TestConcurrentFlushes:
         assert answers.shape == (16,)
         assert engine.stats.queries_answered == 1
 
+    def test_two_flushes_execute_at_the_same_time(
+        self, database, domain, monkeypatch
+    ):
+        """No lock spans a flush: two flushes are inside execute at once.
+
+        Every mechanism call waits at a two-party barrier, which opens only
+        when both flushes have reached the execute stage together.  A
+        pipeline serialised behind one lock would hold the second flush
+        back, break the barrier on its timeout and refuse both tickets.
+        """
+        engine = make_engine(database, domain)
+        engine.open_session("alice", 5.0)
+        engine.open_session("bob", 5.0)
+        entry = engine.plan_cache.plan_for(
+            line_policy(domain), 0.5, prefer_data_dependent=False, consistency=False
+        )
+        barrier = threading.Barrier(2, timeout=5.0)
+        for name in ("answer", "answer_batch"):
+            original = getattr(entry.plan.algorithm, name)
+
+            def rendezvous(*args, _original=original, **kwargs):
+                barrier.wait()
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(entry.plan.algorithm, name, rendezvous)
+        answers = {}
+
+        def ask(client, workload):
+            answers[client] = engine.ask(client, workload, epsilon=0.5)
+
+        first = threading.Thread(target=ask, args=("alice", identity_workload(domain)))
+        first.start()
+        # Submit the second query only once the first flush has drained the
+        # queue and parked inside execute, so each flush carries one ticket.
+        deadline = time.monotonic() + 5.0
+        while barrier.n_waiting == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert barrier.n_waiting == 1
+        second = threading.Thread(
+            target=ask, args=("bob", cumulative_workload(domain))
+        )
+        second.start()
+        first.join(timeout=10.0)
+        second.join(timeout=10.0)
+        assert not barrier.broken
+        assert sorted(answers) == ["alice", "bob"]
+        assert engine.stats.flushes == 2
+
     def test_execute_worker_pool_answers_multiple_groups(self, database, domain):
         # Context manager: close() reclaims the worker pool's threads.
         with make_engine(database, domain, execute_workers=4) as engine:

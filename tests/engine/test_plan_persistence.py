@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +50,39 @@ def make_engine(database, domain, **overrides) -> PrivateQueryEngine:
     )
     options.update(overrides)
     return PrivateQueryEngine(database, **options)
+
+
+#: Serves :func:`warm_start_engine`'s stream from a saved plan store in a
+#: fresh interpreter and prints the plan-cache counters and the answers.
+WARM_CHILD = """
+import json, sys
+import numpy as np
+from repro.core import Database, Domain, cumulative_workload
+from repro.engine import PrivateQueryEngine
+from repro.policy import line_policy
+
+domain = Domain((32,))
+database = Database(domain, np.arange(32, dtype=float), name="ramp32")
+engine = PrivateQueryEngine(
+    database, total_epsilon=100.0, default_policy=line_policy(domain),
+    enable_answer_cache=False, random_state=11,
+)
+loaded = engine.load_plans(sys.argv[1])
+engine.open_session("alice", 10.0)
+answers = [
+    engine.ask("alice", cumulative_workload(domain), epsilon).tolist()
+    for epsilon in json.loads(sys.argv[2])
+]
+stats = engine.stats
+print(json.dumps({
+    "loaded": loaded,
+    "plan_misses": stats.plan_misses,
+    "plan_cache_hit_rate": stats.plan_cache_hit_rate,
+    "answers": answers,
+}))
+"""
+
+WARM_EPSILONS = [0.4, 0.2, 0.1, 0.05]
 
 
 class TestPlanCacheStore:
@@ -128,6 +165,47 @@ class TestEngineWarmStart:
         warm.open_session("alice", 10.0)
         warm_answers = warm.ask("alice", identity_workload(domain), epsilon=0.5)
         np.testing.assert_array_equal(cold_answers, warm_answers)
+
+    def test_fresh_process_serves_warm_and_identically(
+        self, database, domain, tmp_path
+    ):
+        """A relaunched *process* (no resident factorisations, no memos)
+        loads the store, plans nothing cold and draws what the cold process
+        drew.  Engine defaults: the data-dependent route with consistency."""
+        cold = PrivateQueryEngine(
+            database,
+            total_epsilon=100.0,
+            default_policy=line_policy(domain),
+            enable_answer_cache=False,
+            random_state=11,
+        )
+        cold.open_session("alice", 10.0)
+        cold_answers = [
+            cold.ask("alice", cumulative_workload(domain), epsilon)
+            for epsilon in WARM_EPSILONS
+        ]
+        path = tmp_path / "store.pkl"
+        assert cold.save_plans(str(path)) == len(WARM_EPSILONS)
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(root, "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", WARM_CHILD, str(path), json.dumps(WARM_EPSILONS)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        warm = json.loads(result.stdout)
+        assert warm["loaded"] == len(WARM_EPSILONS)
+        assert warm["plan_misses"] == 0
+        assert warm["plan_cache_hit_rate"] == 1.0
+        for expected, got in zip(cold_answers, warm["answers"]):
+            np.testing.assert_array_equal(expected, np.asarray(got))
 
     def test_per_shard_caches_are_persisted(
         self, database, domain, split_policy, tmp_path

@@ -573,4 +573,5 @@ class TestObservabilityIntegration:
                 for op in engine.session("alice").accountant.operations
             ]
 
+        assert len(ledger(direct)) == 2
         assert ledger(direct) == ledger(served)

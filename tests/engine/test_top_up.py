@@ -46,6 +46,17 @@ class TestTopUpLedger:
         assert len(entry.measurements) == 2
         assert entry.total_epsilon == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("extra", [0.1, 0.2, 0.4, 0.8])
+    def test_charges_each_increment_to_within_1e9(self, database, domain, extra):
+        # The ledger arithmetic does not depend on the draws, so one seed
+        # pins it; the session's spend moves by the increment and no more.
+        engine = make_engine(database, domain)
+        session = engine.open_session("a", 500.0)
+        engine.ask("a", identity_workload(domain), 0.4)
+        spent_before = session.spent()
+        engine.top_up("a", identity_workload(domain), extra_epsilon=extra)
+        assert abs((session.spent() - spent_before) - extra) <= 1e-9
+
     def test_replays_serve_the_upgraded_vector_for_free(self, database, domain):
         engine = make_engine(database, domain)
         session = engine.open_session("a", 100.0)
