@@ -432,8 +432,8 @@ def warm_restart_demo(database: Database, domain: Domain) -> None:
         print(f"saved {saved} plans to {os.path.basename(store_path)}")
 
         # "Relaunch": a fresh engine (fresh caches — in production a fresh
-        # process, as exercised by benchmarks/bench_multicore.py) loads the
-        # store instead of re-planning.
+        # process, as exercised by tests/engine/test_plan_persistence.py)
+        # loads the store instead of re-planning.
         relaunched = build_engine()
         loaded = relaunched.load_plans(store_path)
         relaunched.open_session("analyst", 2.0)

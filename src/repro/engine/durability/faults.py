@@ -11,8 +11,8 @@ kill a worker process at an exact hit count of an exact point.
 
 The hooks cost one module-global read plus a ``None`` check when no
 injector is installed (the production state), so they stay compiled into
-the hot path permanently — ``benchmarks/bench_durability.py`` gates that
-overhead at ≤ 1.10× a pipeline with the hooks stripped out.
+the hot path permanently; the benchmark (``perfbench/``) times the serving
+path with them in place.
 
 Crash points
 ------------

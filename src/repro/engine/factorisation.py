@@ -146,9 +146,9 @@ class FactorisationStore:
         """Resolve ``(kind, digest)``, building the artifact on first contact.
 
         Returns the shared handle; callers must keep it referenced for the
-        artifact to stay cached.  With the store globally disabled (the
-        determinism-ablation switch of ``bench_kernels.py``) every call
-        builds privately and nothing is cached or counted.
+        artifact to stay cached.  With the store globally disabled (see
+        :func:`set_store_enabled`) every call builds privately and nothing
+        is cached or counted.
         """
         if not _ENABLED:
             return FactorisationHandle(kind, digest, build())
@@ -289,9 +289,9 @@ def set_store(store: FactorisationStore) -> FactorisationStore:
 def set_store_enabled(enabled: bool) -> bool:
     """Globally enable/disable cross-object sharing; returns the old flag.
 
-    Disabled, every lookup builds privately — the honest ablation baseline
-    ``bench_kernels.py`` compares against, and the switch its determinism
-    gate flips to prove draws and ε ledgers don't depend on the store.
+    Disabled, every lookup builds privately — the ablation baseline, and
+    the switch ``tests/engine/test_fusion.py`` flips to prove draws and
+    ε ledgers don't depend on the store.
     """
     global _ENABLED
     previous, _ENABLED = _ENABLED, bool(enabled)

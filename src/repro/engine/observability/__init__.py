@@ -20,8 +20,8 @@ Cost discipline: everything is **off-by-default cheap**.  A disabled hub
 returns ``None`` from :meth:`Observability.start_trace`, the pipeline's
 hooks reduce to one branch each, and the engine's counters go through the
 registry either way (a counter increment under an uncontended lock — the
-same cost as the plain-int-under-lock scheme it replaces).  The overhead
-gate lives in ``benchmarks/bench_observability.py``.
+same cost as the plain-int-under-lock scheme it replaces).  The benchmark
+(``perfbench/``) times the serving path with the hub disabled.
 
 ε-audit event schema
 ====================

@@ -290,13 +290,11 @@ class FlushPipeline:
 
     # --------------------------------------------------------- observability
     def _obs_flush_begin(self, tickets: List[QueryTicket]):
-        """Strippable flush-observation hook: queue waits + open the trace.
+        """Flush-observation hook: queue waits + open the trace.
 
         Returns ``None`` when observability is disabled (the single branch a
         disabled engine pays here) or a ``(trace, perf_counter start)``
-        context otherwise.  ``bench_observability.py`` subclasses the
-        pipeline with this hook (and :meth:`_obs_flush_end`) stubbed out to
-        measure the instrumentation's true floor.
+        context otherwise.
         """
         obs = self._engine._observability
         if obs is None or not obs.enabled:

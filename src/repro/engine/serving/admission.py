@@ -7,7 +7,8 @@ responses at the door instead of corrupting latency — or budget — for the
 work already admitted.  Everything in this module runs **before**
 ``engine.submit``: a shed query never creates a ticket, never joins a
 flush, and never reaches the charge stage, so its ε cost is exactly zero
-(asserted by ledger byte-compare in ``benchmarks/bench_overload.py``).
+(asserted by a durable-ledger byte-compare in
+``tests/engine/test_overload.py``).
 
 Three independent limits, checked in order:
 
