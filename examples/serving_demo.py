@@ -224,8 +224,7 @@ def consolidate_and_top_up_demo(database: Database, domain: Domain) -> None:
     engine.ask("analyst", identity_workload(domain), epsilon=1.0)
     # ...and consolidation reconciles ALL of it by generalised least squares
     # over the draw covariance structure — free post-processing, and the
-    # correlated batch-mates are no longer double-counted (method="wls"
-    # restores the legacy independence-assuming solve for comparison).
+    # correlated batch-mates are not double-counted.
     spent_before = analyst.spent()
     updated = engine.consolidate()
     print(

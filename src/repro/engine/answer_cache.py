@@ -53,10 +53,7 @@ import scipy.sparse as sp
 
 from ..core.workload import Workload
 from ..policy.graph import PolicyGraph
-from ..postprocess.least_squares import (
-    generalised_least_squares_estimate,
-    weighted_least_squares_estimate,
-)
+from ..postprocess.least_squares import generalised_least_squares_estimate
 from .signature import answer_key, policy_signature
 
 AnswerKey = Tuple[str, str, str]
@@ -473,22 +470,16 @@ class AnswerCache:
         return grouped
 
     # ------------------------------------------------------------ consolidation
-    def consolidate(self, policy: PolicyGraph, method: str = "gls") -> int:
+    def consolidate(self, policy: PolicyGraph) -> int:
         """Least-squares-consolidate every cached answer under ``policy``.
 
         Stacks every raw measurement ``(W_i, y_i)`` for the policy and
         solves for a single histogram estimate ``x̂``, then replaces each
         cached vector by ``W_i x̂``.  Consumes no budget (post-processing).
-
-        ``method="gls"`` (default) solves the generalised least squares over
-        the draw-id covariance structure described in the module docstring —
+        The solve is the generalised least squares over the draw-id
+        covariance structure described in the module docstring —
         variance-optimal given the declared noise models, and bit-identical
         to the weighted solve when the assembled covariance is diagonal.
-        ``method="wls"`` restores the legacy *weighted* solve: every
-        measurement treated as independent and weighted by its ε-implied
-        proxy variance ``2/ε²`` alone, honest noise models ignored (a
-        uniform variance scale never changes a weighted solution, so this
-        is the PR 1 baseline the GLS upgrade is measured against).
 
         Returns the number of **live** entries updated: the solve runs
         outside the lock, so the write-back re-verifies each entry by object
@@ -497,8 +488,6 @@ class AnswerCache:
         unconsolidated while still counting it.  0 or 1 cached entries are
         left untouched (nothing to reconcile).
         """
-        if method not in ("gls", "wls"):
-            raise ValueError(f"Unknown consolidation method {method!r}")
         sig = policy_signature(policy)
         with self._lock:
             keys = [k for k in self._by_policy.get(sig, ()) if k in self._entries]
@@ -515,16 +504,7 @@ class AnswerCache:
             for measurement in measurements
         ]
         matrix, values, covariance = stack_measurements(stack)
-        if method == "wls":
-            variances = np.concatenate(
-                [
-                    np.full(workload.num_queries, 2.0 / measurement.epsilon**2)
-                    for workload, measurement in stack
-                ]
-            )
-            estimate = weighted_least_squares_estimate(matrix, values, variances)
-        else:
-            estimate = generalised_least_squares_estimate(matrix, values, covariance)
+        estimate = generalised_least_squares_estimate(matrix, values, covariance)
         updated = 0
         with self._lock:
             for key, entry, measurements in zip(keys, entries, snapshots):

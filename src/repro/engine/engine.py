@@ -293,11 +293,6 @@ class PrivateQueryEngine:
         module, and an unguarded script would recurse.  (A worker crash is
         contained either way: the affected batch's charges roll back and
         its tickets refuse with a clear error.)
-    serialize_flush:
-        Compatibility/benchmark switch: when ``True`` the whole pipeline runs
-        under one exclusive lock, restoring PR 1's single-lock behaviour
-        (sound, fully serialising).  ``benchmarks/bench_concurrency.py`` uses
-        it as the baseline the staged pipeline is measured against.
     observability:
         Optional :class:`~repro.engine.observability.Observability` hub.
         When omitted, a **disabled** hub is built: aggregate counters still
@@ -348,7 +343,6 @@ class PrivateQueryEngine:
         execute_workers: Optional[int] = None,
         execute_backend: str = "process",
         process_start_method: str = "spawn",
-        serialize_flush: bool = False,
         observability: Optional[Observability] = None,
         durable_ledger: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
@@ -381,11 +375,8 @@ class PrivateQueryEngine:
         #   _queue_lock  — pending queue, session registry, rng derivation;
         #   metrics.lock — every serving counter and histogram (the registry
         #                  replaced the former dedicated stats lock);
-        #   accountant.lock — every budget ledger (shared with its scopes);
-        #   _serial_lock — only taken when serialize_flush=True.
+        #   accountant.lock — every budget ledger (shared with its scopes).
         self._queue_lock = threading.Lock()
-        self._serial_lock = threading.Lock()
-        self._serialize_flush = bool(serialize_flush)
         self._sessions: Dict[str, ClientSession] = {}
         self._pending: List[QueryTicket] = []
         self._ticket_ids = itertools.count(1)
@@ -813,11 +804,7 @@ class PrivateQueryEngine:
                 rng = self._spawn_flush_rng()
             else:
                 rng = ensure_rng(random_state)
-        if self._serialize_flush:
-            with self._serial_lock:
-                self._pipeline.run(tickets, rng)
-        else:
-            self._pipeline.run(tickets, rng)
+        self._pipeline.run(tickets, rng)
         return tickets
 
     def ask(
@@ -863,16 +850,12 @@ class PrivateQueryEngine:
         return ticket.result()
 
     # ------------------------------------------------------------ consistency
-    def consolidate(
-        self, policy: Optional[PolicyGraph] = None, method: str = "gls"
-    ) -> int:
+    def consolidate(self, policy: Optional[PolicyGraph] = None) -> int:
         """Least-squares-reconcile all cached answers under ``policy`` for free.
 
-        ``method="gls"`` (default) solves the draw-aware generalised least
-        squares over the cached measurements' covariance structure;
-        ``method="wls"`` restores the legacy independence-assuming weighted
-        solve (the benchmark baseline).  Returns the number of live cached
-        answer vectors updated; see
+        Solves the draw-aware generalised least squares over the cached
+        measurements' covariance structure.  Returns the number of live
+        cached answer vectors updated; see
         :meth:`repro.engine.AnswerCache.consolidate`.
         """
         if self.answer_cache is None:
@@ -880,7 +863,7 @@ class PrivateQueryEngine:
         resolved = policy if policy is not None else self._default_policy
         if resolved is None:
             raise PolicyError("No policy given and the engine has no default policy")
-        return self.answer_cache.consolidate(resolved, method=method)
+        return self.answer_cache.consolidate(resolved)
 
     def top_up(
         self,

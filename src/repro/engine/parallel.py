@@ -578,11 +578,6 @@ class ProcessExecuteBackend:
         Objects every worker must hold resident from birth (the engine
         passes its database).  Pickled once here; respawned workers re-run
         the initializer, so preloaded digests can never miss.
-    blob_protocol:
-        ``"miss-only"`` (default) as above; ``"always"`` re-ships the
-        memoised blobs on every dispatch — the PR 3 behaviour, kept as the
-        honest baseline ``benchmarks/bench_ipc.py`` measures the protocol
-        against.
     metrics:
         Optional :class:`~repro.engine.observability.MetricsRegistry`;
         when set, each dispatch feeds per-dispatch bytes-shipped and
@@ -608,19 +603,12 @@ class ProcessExecuteBackend:
         max_workers: int,
         start_method: str = "spawn",
         preload: Sequence[object] = (),
-        blob_protocol: str = "miss-only",
         metrics: Optional[MetricsRegistry] = None,
         respawn_budget: int = 1,
         respawn_backoff: float = 0.5,
     ) -> None:
-        if blob_protocol not in ("miss-only", "always"):
-            raise ValueError(
-                f"Unknown blob protocol {blob_protocol!r}; "
-                "expected 'miss-only' or 'always'"
-            )
         self._max_workers = int(max_workers)
         self._context = multiprocessing.get_context(start_method)
-        self._ship_always = blob_protocol == "always"
         if metrics is not None:
             self._h_bytes = metrics.histogram(
                 "engine_ipc_bytes_shipped",
@@ -660,8 +648,7 @@ class ProcessExecuteBackend:
         self._blob_cache_misses = 0
         self._resubmits = 0
         # Parent-side memo of plan pickles: a hot plan is serialised once,
-        # then every later dispatch reuses the digest (and, under the
-        # miss-only protocol, ships only that).
+        # then every later dispatch reuses the digest and ships only that.
         self._blob_lock = threading.Lock()
         self._plan_blobs: "OrderedDict[PlanKey, Tuple[str, bytes]]" = OrderedDict()
         self._plan_blobs_maxsize = 32
@@ -885,8 +872,6 @@ class ProcessExecuteBackend:
 
     def _ship_blob(self, digest: str, blob: bytes) -> Optional[bytes]:
         """Decide whether this dispatch carries the blob or the digest alone."""
-        if self._ship_always:
-            return blob
         with self._blob_lock:
             if digest in self._shipped_digests:
                 return None
@@ -901,13 +886,13 @@ class ProcessExecuteBackend:
         worker — the per-dispatch protocol cost (payload pickle framing,
         queue hop, future round trip) is paid once per group instead of once
         per unit.  Plan and database pickles are memoised (both are
-        immutable for the engine's lifetime) and, under the miss-only
-        protocol, cross the pipe as content digests; each distinct blob is
-        shipped at most once even when several members share it, so a
-        steady-state dispatch serialises and ships only the workloads and
-        the RNG children.  Serialisation failures (e.g. a plan holding an
-        unpicklable custom estimator factory) raise here, *before* anything
-        is scheduled; a closed backend raises ``RuntimeError``.
+        immutable for the engine's lifetime) and cross the pipe as content
+        digests; each distinct blob is shipped at most once even when
+        several members share it, so a steady-state dispatch serialises and
+        ships only the workloads and the RNG children.  Serialisation
+        failures (e.g. a plan holding an unpicklable custom estimator
+        factory) raise here, *before* anything is scheduled; a closed
+        backend raises ``RuntimeError``.
         """
         started = time.perf_counter()
         metas: List[Tuple[str, str]] = []

@@ -267,11 +267,6 @@ class TestGlsConsolidation:
         prefix = engine.ask("a", cumulative_workload(domain), 1.0)
         np.testing.assert_allclose(np.cumsum(histogram), prefix, rtol=1e-6)
 
-    def test_unknown_method_rejected(self, database, domain):
-        engine = make_engine(database, line_policy(domain))
-        with pytest.raises(ValueError, match="method"):
-            engine.answer_cache.consolidate(line_policy(domain), method="ols")
-
     @pytest.mark.parametrize("batch_mates", [2, 4, 8])
     def test_gls_never_loses_to_wls_at_any_correlation_level(self, batch_mates):
         """``batch_mates`` range workloads share one draw, plus an anchor.

@@ -584,10 +584,6 @@ class TestMissOnlyBlobProtocol:
         )
         return unit, reference_rng
 
-    def test_rejects_unknown_protocol(self):
-        with pytest.raises(ValueError, match="blob protocol"):
-            ProcessExecuteBackend(max_workers=1, blob_protocol="compressed")
-
     def test_steady_state_ships_only_the_payload(self, domain, database, plan):
         backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
         try:
@@ -606,23 +602,6 @@ class TestMissOnlyBlobProtocol:
             assert backend.preload_bytes > 0
             assert steady < plan_blob_bytes / 2
             assert abs(first - steady) < 1024  # first dispatch equally lean
-        finally:
-            backend.close()
-
-    def test_always_protocol_reships_blobs_every_dispatch(
-        self, domain, database, plan
-    ):
-        backend = ProcessExecuteBackend(
-            max_workers=1, preload=(database,), blob_protocol="always"
-        )
-        try:
-            unit, _ = self.make_unit(plan, domain, database, 1)
-            run_alone(backend, unit)
-            first = backend.bytes_shipped
-            unit, _ = self.make_unit(plan, domain, database, 2)
-            run_alone(backend, unit)
-            steady = backend.bytes_shipped - first
-            assert steady > len(pickle.dumps(plan))  # blobs cross every time
         finally:
             backend.close()
 

@@ -131,13 +131,6 @@ class TestConcurrentFlushes:
         assert engine.stats.queries_submitted == num_threads * per_thread
         assert engine.pending_count == num_threads * per_thread
 
-    def test_serialize_flush_mode_still_answers(self, database, domain):
-        engine = make_engine(database, domain, serialize_flush=True)
-        engine.open_session("alice", 5.0)
-        answers = engine.ask("alice", identity_workload(domain), epsilon=0.5)
-        assert answers.shape == (16,)
-        assert engine.stats.queries_answered == 1
-
     def test_two_flushes_execute_at_the_same_time(
         self, database, domain, monkeypatch
     ):
