@@ -138,13 +138,14 @@ class PrivacyAccountant:
                         "under-counting spent budget after a crash"
                     ) from exc
             if self.audit is not None:
-                spent = self._spent_with(self.operations)
+                # ``projected`` composed exactly the ledger as it now stands
+                # (same operations, same order), so it is the spend to report.
                 self.audit.emit(
                     "charge",
                     label=label,
                     epsilon=operation.epsilon,
-                    spent=spent,
-                    remaining=self.total_epsilon - spent,
+                    spent=projected,
+                    remaining=self.total_epsilon - projected,
                 )
             return operation
 

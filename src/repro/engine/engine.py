@@ -101,6 +101,8 @@ from .pipeline import (
     STAGES,
     FlushPipeline,
     QueryTicket,
+    audit_context,
+    checked_noise_model,
 )
 from .plan_cache import (
     PLAN_STORE_FORMAT,
@@ -951,9 +953,23 @@ class PrivateQueryEngine:
             "top_up", client=client_id, label=label
         )
         try:
-            entry = self._run_top_up(
-                session, entry, plan, workload, float(extra_epsilon), label, rng, trace
-            )
+            # Ambient attribution: the accountant's own charge/rollback
+            # events inherit these ids just like flush-path charges do.
+            with audit_context(
+                self._audit,
+                trace_id=trace.trace_id if trace is not None else None,
+                client_id=session.client_id,
+            ):
+                entry = self._run_top_up(
+                    session,
+                    entry,
+                    plan,
+                    workload,
+                    float(extra_epsilon),
+                    label,
+                    rng,
+                    trace,
+                )
         finally:
             if trace is not None:
                 trace.finish()
@@ -965,24 +981,6 @@ class PrivateQueryEngine:
     ):
         """Charge, execute and absorb one top-up measurement (body of
         :meth:`top_up`, factored so the trace/audit bracketing stays flat)."""
-        audit = self._audit
-        if audit is not None:
-            # Ambient attribution: the accountant's own charge/rollback
-            # events inherit these ids just like flush-path charges do.
-            with audit.context(
-                trace_id=trace.trace_id if trace is not None else None,
-                client_id=session.client_id,
-            ):
-                return self._run_top_up_charged(
-                    session, entry, plan, workload, extra_epsilon, label, rng, trace
-                )
-        return self._run_top_up_charged(
-            session, entry, plan, workload, extra_epsilon, label, rng, trace
-        )
-
-    def _run_top_up_charged(
-        self, session, entry, plan, workload, extra_epsilon, label, rng, trace
-    ):
         operation = session.charge(label, extra_epsilon, None)
         group = ExecuteUnitGroup(
             units=(
@@ -1004,17 +1002,7 @@ class PrivateQueryEngine:
                 f"top_up execution failed (increment rolled back): {outcome[1]}"
             )
         _, vectors, model = outcome
-        if model is not None and model.num_rows != workload.num_queries:
-            # Mis-sized metadata is a mechanism bug, but metadata is
-            # advisory (same guard as the pipeline): degrade to the proxy
-            # rather than poisoning later covariance assembly.
-            logger.warning(
-                "top_up noise model reports %d rows but the workload has %d "
-                "queries; degrading this measurement to the proxy noise model",
-                model.num_rows,
-                workload.num_queries,
-            )
-            model = None
+        model = checked_noise_model(model, workload.num_queries, "the top-up workload")
         draw_id = self._next_draw_id()
         measurement = Measurement(
             answers=vectors[0],

@@ -43,6 +43,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -90,6 +91,38 @@ EXPIRED = "expired"
 
 #: The stages whose wall-clock is tracked by :class:`~repro.engine.EngineStats`.
 STAGES = ("plan", "charge", "execute", "resolve")
+
+
+def audit_context(audit, **ids):
+    """``audit.context(**ids)``, or a no-op context when auditing is off.
+
+    Ledger mutations made inside inherit the ids as ambient attribution: the
+    accountant emits its charge/rollback events two layers down, where no
+    ticket or trace is known.
+    """
+    return nullcontext() if audit is None else audit.context(**ids)
+
+
+def checked_noise_model(
+    model: Optional[NoiseModel], rows: int, layout: str
+) -> Optional[NoiseModel]:
+    """``model`` when it describes exactly ``rows`` rows, else ``None``.
+
+    A mechanism that mis-sizes its metadata is a bug, but metadata is
+    advisory: the answers stand and the measurement degrades to the proxy
+    noise model (with a WARNING naming ``layout``) rather than slicing rows
+    that belong to a different layout into later covariance assembly.
+    """
+    if model is not None and model.num_rows != rows:
+        logger.warning(
+            "noise model reports %d rows but %s has %d; degrading it to the "
+            "proxy noise model",
+            model.num_rows,
+            layout,
+            rows,
+        )
+        return None
+    return model
 
 
 @dataclass
@@ -614,17 +647,14 @@ class FlushPipeline:
                         ticket, batch.plan_error, count_session=True, trace=trace
                     )
             return
-        audit = engine._audit
         trace_id = trace.trace_id if trace is not None else None
         for ticket in batch.tickets:
-            if audit is not None:
-                with audit.context(
-                    trace_id=trace_id,
-                    ticket_id=ticket.ticket_id,
-                    client_id=ticket.client_id,
-                ):
-                    self._charge_ticket(batch, ticket, trace)
-            else:
+            with audit_context(
+                engine._audit,
+                trace_id=trace_id,
+                ticket_id=ticket.ticket_id,
+                client_id=ticket.client_id,
+            ):
                 self._charge_ticket(batch, ticket, trace)
 
     def _charge_ticket(
@@ -961,17 +991,7 @@ class FlushPipeline:
                 piece.workload.num_queries  # type: ignore[attr-defined]
                 for _, _, piece in entries
             )
-            if model is not None and model.num_rows != unit_rows:
-                # Mis-sized metadata is a mechanism bug, but metadata is
-                # advisory: degrade this unit to the proxy model rather
-                # than slicing rows that belong to a different layout.
-                logger.warning(
-                    "noise model reports %d rows but its sharded unit has %d; "
-                    "degrading the unit to the proxy noise model",
-                    model.num_rows,
-                    unit_rows,
-                )
-                model = None
+            model = checked_noise_model(model, unit_rows, "its sharded unit")
             start = 0
             for (position, piece_index, piece), vector in zip(entries, vectors):
                 piece_vectors[(position, piece_index)] = np.asarray(vector)
@@ -1003,18 +1023,9 @@ class FlushPipeline:
         batch: PlannedBatch, model: Optional[NoiseModel]
     ) -> Optional[List[Optional[TicketNoise]]]:
         """Cut one unsharded invocation's model into per-ticket slices."""
-        if model is None:
-            return None
         total = sum(ticket.workload.num_queries for ticket in batch.admitted)
-        if model.num_rows != total:
-            # A mechanism that mis-sizes its metadata is a bug, but metadata
-            # is advisory: degrade to the proxy model, never refuse answers.
-            logger.warning(
-                "noise model reports %d rows but the batch has %d; degrading "
-                "the batch to the proxy noise model",
-                model.num_rows,
-                total,
-            )
+        model = checked_noise_model(model, total, "the batch")
+        if model is None:
             return None
         noise: List[Optional[TicketNoise]] = []
         start = 0
@@ -1080,20 +1091,17 @@ class FlushPipeline:
             # every reservation of this batch and resolve its tickets instead
             # of stranding them (or the rest of the flush) behind the raise.
             error = batch.execute_error or "Batch execution produced no results"
-            audit = engine._audit
             trace_id = trace.trace_id if trace is not None else None
             # batch.charged is index-aligned with batch.admitted (both are
             # appended together at admission), so the zip attributes each
             # rollback's audit event to the right ticket.
             for (session, operation), ticket in zip(batch.charged, batch.admitted):
-                if audit is not None:
-                    with audit.context(
-                        trace_id=trace_id,
-                        ticket_id=ticket.ticket_id,
-                        client_id=ticket.client_id,
-                    ):
-                        session.accountant.rollback(operation)
-                else:
+                with audit_context(
+                    engine._audit,
+                    trace_id=trace_id,
+                    ticket_id=ticket.ticket_id,
+                    client_id=ticket.client_id,
+                ):
                     session.accountant.rollback(operation)
             for ticket in batch.admitted:
                 self._refuse(ticket, error, count_session=True, trace=trace)

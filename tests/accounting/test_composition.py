@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.accounting import (
@@ -85,3 +87,44 @@ class TestPrivacyAccountant:
         for slab in range(10):
             accountant.charge(f"slab-{slab}", 0.1, partition=[f"slab-{slab}"])
         assert accountant.spent() == pytest.approx(0.1)
+
+
+class RecordingAudit:
+    """A minimal audit sink: keeps every emitted event."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event, **fields):
+        self.events.append((event, fields))
+
+
+class TestAuditedCharge:
+    def test_one_composition_per_audited_charge(self, monkeypatch):
+        calls = []
+        original = PrivacyAccountant._spent_with
+
+        def counting(operations):
+            calls.append(len(operations))
+            return original(operations)
+
+        monkeypatch.setattr(PrivacyAccountant, "_spent_with", staticmethod(counting))
+        accountant = PrivacyAccountant(10.0, audit=RecordingAudit())
+        accountant.charge("first", 1.0)
+        accountant.charge("second", 0.5, partition=[1, 2])
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_audited_spend_is_exactly_the_ledger_spend(self, seed):
+        rng = random.Random(seed)
+        audit = RecordingAudit()
+        accountant = PrivacyAccountant(1e6, audit=audit)
+        for index in range(60):
+            partition = None
+            if rng.random() < 0.5:
+                partition = rng.sample(range(12), rng.randint(1, 4))
+            accountant.charge(f"q{index}", rng.uniform(0.01, 2.0), partition)
+            event, fields = audit.events[-1]
+            assert event == "charge"
+            assert fields["spent"] == accountant.spent()
+            assert fields["remaining"] == accountant.total_epsilon - accountant.spent()

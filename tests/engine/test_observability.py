@@ -650,6 +650,30 @@ class TestDegradationLogging:
         (entry,) = engine.answer_cache._entries.values()
         assert entry.measurements[0].noise_stds is None
 
+    def test_mis_sized_top_up_noise_model_logs_proxy_fallback(
+        self, database, domain, monkeypatch, caplog
+    ):
+        from repro.blowfish.algorithms import NamedAlgorithm
+        from repro.mechanisms.base import NoiseModel
+
+        engine = make_engine(database, domain, enable_answer_cache=True)
+        engine.open_session("alice", 10.0)
+        engine.ask("alice", identity_workload(domain), epsilon=0.5)
+        monkeypatch.setattr(
+            NamedAlgorithm,
+            "noise_model",
+            lambda self, workload: NoiseModel(stds=np.ones(3)),
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            upgraded = engine.top_up(
+                "alice", identity_workload(domain), extra_epsilon=0.25
+            )
+        assert upgraded.shape == (16,)
+        assert len(self.proxy_fallbacks(caplog, "top-up workload")) == 1
+        (entry,) = engine.answer_cache._entries.values()
+        assert entry.measurements[0].noise_stds is not None
+        assert entry.measurements[1].noise_stds is None
+
     def test_closed_backend_inline_fallback_logs(self, database, domain, caplog):
         engine = make_engine(database, domain)
         plan = engine.plan_cache.plan_for(
