@@ -30,7 +30,13 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 
 def _as_csr(matrix: MatrixLike) -> sp.csr_matrix:
-    """Convert any matrix-like object into a CSR matrix of floats."""
+    """Convert any matrix-like object into a CSR matrix of floats.
+
+    A float64 ``csr_matrix`` is kept as it is; any other sparse matrix is
+    wrapped (sharing its arrays where the format and dtype allow).
+    """
+    if isinstance(matrix, sp.csr_matrix) and matrix.dtype == np.float64:
+        return matrix
     if sp.issparse(matrix):
         return sp.csr_matrix(matrix, dtype=np.float64)
     array = np.asarray(matrix, dtype=np.float64)

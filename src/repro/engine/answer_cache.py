@@ -208,6 +208,11 @@ class AnswerCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def maxsize(self) -> int:
+        """The number of answer vectors kept before LRU eviction."""
+        return self._maxsize
+
     # ------------------------------------------------------------------ access
     def lookup(
         self, policy: PolicyGraph, workload: Workload, epsilon: float

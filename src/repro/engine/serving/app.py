@@ -10,6 +10,15 @@ endpoints, and the route table from
 (or to tests, which dispatch :class:`~repro.engine.serving.http.Request`
 objects straight into :meth:`ServingApp.dispatch` without a socket).
 
+Query-body memo: a client that re-asks a query re-sends the same bytes, and
+the engine answers it from its answer cache at zero ε.  :class:`ServingApp`
+keeps an LRU of parsed ``POST /api/queries`` bodies keyed by the sha256
+digest of their bytes, as large as the engine's answer cache (and absent
+when that cache is off), so a byte-identical re-send skips the JSON decode,
+the workload parse and — because it reuses the same
+:class:`~repro.core.workload.Workload` object, whose signature is memoised
+— the flush-side signature hash.  Only the event-loop thread touches it.
+
 Observability: every dispatch runs inside
 :meth:`~repro.engine.observability.Observability.request_context`, which
 opens a per-request trace and stacks the ``X-Request-Id`` header (plus
@@ -21,8 +30,10 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import OrderedDict
 from typing import Callable, List, Optional, Pattern, Tuple
 
+from ...core.workload import Workload
 from .admission import AdmissionController
 from .async_engine import AsyncQueryEngine
 from .http import HTTPError, Request, Response, error_response
@@ -31,6 +42,9 @@ from .queries import TicketRegistry
 logger = logging.getLogger(__name__)
 
 RouteEntry = Tuple[str, Pattern, Callable]
+#: A memoised query body: its decoded fields (the workload spec dropped)
+#: and the workload parsed from that spec.
+ParsedBody = Tuple[dict, Workload]
 
 
 class ServingApp:
@@ -63,6 +77,9 @@ class ServingApp:
         #: every new submit sheds, while in-flight work keeps completing.
         self.draining = False
         self._routes: List[RouteEntry] = []
+        answer_cache = engine.answer_cache
+        self._body_memo_size = 0 if answer_cache is None else answer_cache.maxsize
+        self._body_memo: "OrderedDict[bytes, ParsedBody]" = OrderedDict()
 
     # ---------------------------------------------------------------- routing
     def add_route(self, method: str, pattern: str, handler: Callable) -> None:
@@ -103,6 +120,23 @@ class ServingApp:
         if matched_path:
             return error_response(405, f"method {request.method} not allowed")
         return error_response(404, f"no route for {request.path}")
+
+    # ------------------------------------------------------------- body memo
+    def recall_body(self, digest: bytes) -> Optional[ParsedBody]:
+        """The memoised parse of the query body with this sha256 ``digest``."""
+        parsed = self._body_memo.get(digest)
+        if parsed is not None:
+            self._body_memo.move_to_end(digest)
+        return parsed
+
+    def remember_body(self, digest: bytes, body: dict, workload: Workload) -> None:
+        """Memoise a query body whose workload parsed (oldest out past capacity)."""
+        if not self._body_memo_size:
+            return
+        fields = {name: value for name, value in body.items() if name != "workload"}
+        self._body_memo[digest] = (fields, workload)
+        if len(self._body_memo) > self._body_memo_size:
+            self._body_memo.popitem(last=False)
 
     def drain(self) -> None:
         """Stop admitting queries; readiness flips to 503.

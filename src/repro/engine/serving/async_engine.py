@@ -19,7 +19,10 @@ This front-end serves the same engine from an event loop instead:
 * **sync flushes, off the loop** — :meth:`PrivateQueryEngine.flush` is
   synchronous CPU work (mechanism kernels) and must not stall the loop, so
   flushes run on one dedicated flusher thread (a single-worker pool — a
-  fixed cost, not a per-client one).  The flush drives the *same* staged
+  fixed cost, not a per-client one).  Size- and deadline-triggered flushes
+  are queued there FIFO and nothing awaits them: a flush wakes the loop
+  only through the waiters of the tickets it resolves, and a failed one
+  logs ``serving flush failed``.  The flush drives the *same* staged
   pipeline with the same per-flush RNG child derivation, so a seeded
   engine's draws and ε ledgers through this front-end are byte-identical
   to a direct ``flush()`` issuing the same batches in the same order.
@@ -34,7 +37,7 @@ import asyncio
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -128,7 +131,8 @@ class AsyncQueryEngine:
 
     The front-end binds to the event loop running when the first query is
     submitted; all submissions must come from that loop (the usual one-loop
-    asyncio deployment).  Flushes run on one dedicated flusher thread.
+    asyncio deployment).  Flushes run on one dedicated flusher thread,
+    first in, first out.
     """
 
     def __init__(
@@ -143,7 +147,6 @@ class AsyncQueryEngine:
             max_workers=1, thread_name_prefix="repro-async-flush"
         )
         self._deadline_handle: Optional[asyncio.TimerHandle] = None
-        self._inflight: Set[asyncio.Future] = set()
         self._closed = False
         #: Callbacks fed each observed flush latency (seconds) from the
         #: flusher thread — admission control hangs its Retry-After EWMA
@@ -210,10 +213,10 @@ class AsyncQueryEngine:
             # Size trigger: the flush starts now (on the flusher thread);
             # the pending deadline timer would only find an empty queue, so
             # let it stand — empty flushes are free and burn no RNG child.
-            self._start_flush(loop)
+            self._start_flush()
         elif self._deadline_handle is None:
             self._deadline_handle = loop.call_later(
-                self._triggers.max_delay, self._deadline_fired, loop
+                self._triggers.max_delay, self._deadline_fired
             )
         return async_ticket
 
@@ -247,16 +250,18 @@ class AsyncQueryEngine:
         return await ticket.result(timeout=timeout)
 
     async def flush(self) -> List[QueryTicket]:
-        """Flush pending queries now (on the flusher thread) and await them."""
+        """Flush pending queries (queued behind any trigger flush) and await them."""
         loop = asyncio.get_running_loop()
-        return await self._start_flush(loop)
+        return await loop.run_in_executor(self._flush_pool, self._run_flush_measured)
 
     # ---------------------------------------------------------------- lifecycle
     async def aclose(self) -> None:
-        """Drain and shut down: cancel the timer, finish flushes, final flush.
+        """Drain and shut down: cancel the timer, then one final flush.
 
-        When ``aclose`` returns every ticket this front-end accepted is
-        resolved (the same deterministic-teardown contract as
+        The final flush queues FIFO behind every flush already on the
+        flusher thread, so it runs after they finish and picks up anything
+        they left.  When ``aclose`` returns every ticket this front-end
+        accepted is resolved (the same deterministic-teardown contract as
         :meth:`BatchingExecutor.close`), and the flusher thread is joined.
         """
         if self._closed:
@@ -265,13 +270,7 @@ class AsyncQueryEngine:
         if self._deadline_handle is not None:
             self._deadline_handle.cancel()
             self._deadline_handle = None
-        inflight = list(self._inflight)
-        if inflight:
-            await asyncio.gather(*inflight, return_exceptions=True)
-        # Final drain: anything submitted before the closed flag flipped and
-        # not picked up by a trigger flush.
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._flush_pool, self._run_flush_measured)
+        await self.flush()
         self._flush_pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "AsyncQueryEngine":
@@ -281,30 +280,24 @@ class AsyncQueryEngine:
         await self.aclose()
 
     # ------------------------------------------------------------------ flusher
-    def _deadline_fired(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _deadline_fired(self) -> None:
         """The ``call_later`` counterpart of the executor's flusher thread."""
         self._deadline_handle = None
         if self._closed or not self._engine.pending_count:
             return
-        self._start_flush(loop)
+        self._start_flush()
 
-    def _start_flush(self, loop: asyncio.AbstractEventLoop) -> asyncio.Future:
-        """Run ``engine.flush()`` on the flusher thread; track it for aclose."""
-        future = loop.run_in_executor(self._flush_pool, self._run_flush_measured)
-        self._inflight.add(future)
-        future.add_done_callback(self._track_flush_done)
-        return future
+    def _start_flush(self) -> None:
+        """Queue a trigger flush on the flusher thread; nothing awaits it."""
+        self._flush_pool.submit(self._run_trigger_flush)
 
-    def _track_flush_done(self, future: asyncio.Future) -> None:
-        self._inflight.discard(future)
-        # Retrieve the exception so a deadline-triggered flush that failed
-        # (chaos injection, broken backend) logs a warning instead of an
-        # "exception was never retrieved" message at GC time.  Awaiters of
-        # an explicit flush() still see the exception through the future.
-        if future.cancelled():
-            return
-        exc = future.exception()
-        if exc is not None:
+    def _run_trigger_flush(self) -> None:
+        # No awaiter sees a trigger flush's exception (chaos injection, a
+        # broken backend), so log it; its tickets stay queued or resolved
+        # as the engine left them, and the next flush picks them up.
+        try:
+            self._run_flush_measured()
+        except Exception as exc:  # noqa: BLE001 - the flusher must survive
             logger.warning("serving flush failed: %s", exc)
 
     def _run_flush_measured(self) -> List[QueryTicket]:

@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 #: workload rows, so this is generous — but unbounded reads would let one
 #: client exhaust server memory.
 MAX_BODY_BYTES = 16 * 1024 * 1024
-MAX_HEADER_LINE = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -148,31 +147,41 @@ def error_response(status: int, message: str) -> Response:
     return Response({"error": message}, status=status)
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; HTTP 400 when it exceeds the reader's limit.
+
+    ``StreamReader.readline`` raises ``ValueError`` for a line longer than
+    the stream's buffer limit (64 KiB for servers started with
+    ``asyncio.start_server``'s default).
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HTTPError(400, f"{what} too long") from None
+
+
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on a clean EOF.
 
-    Malformed requests raise :class:`HTTPError` (the connection loop
+    Malformed requests, request lines or header lines longer than the
+    reader's limit included, raise :class:`HTTPError` (the connection loop
     answers 400 and closes).
     """
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _read_line(reader, "request line")
+    except ConnectionError:
         return None
     if not line:
         return None
-    if len(line) > MAX_HEADER_LINE:
-        raise HTTPError(400, "request line too long")
     try:
         method, target, version = line.decode("latin-1").split()
     except ValueError:
         raise HTTPError(400, "malformed request line") from None
     headers: Dict[str, str] = {}
     while True:
-        header_line = await reader.readline()
+        header_line = await _read_line(reader, "header line")
         if header_line in (b"\r\n", b"\n", b""):
             break
-        if len(header_line) > MAX_HEADER_LINE:
-            raise HTTPError(400, "header line too long")
         name, separator, value = header_line.decode("latin-1").partition(":")
         if not separator:
             raise HTTPError(400, f"malformed header line {header_line!r}")

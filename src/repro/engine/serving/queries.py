@@ -25,6 +25,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ...core.workload import (
     Workload,
@@ -32,7 +33,6 @@ from ...core.workload import (
     identity_workload,
     marginal_workload,
     total_workload,
-    workload_from_rows,
 )
 from ...exceptions import WorkloadError
 from ..pipeline import QueryTicket
@@ -79,19 +79,53 @@ def parse_workload(domain, spec) -> Workload:
         rows = spec.get("rows")
         if not isinstance(rows, list) or not rows:
             raise WorkloadError("rows workload needs a non-empty 'rows' list")
-        try:
-            matrix = [np.asarray(row, dtype=np.float64) for row in rows]
-        except (TypeError, ValueError) as exc:
-            raise WorkloadError(f"rows workload has non-numeric entries: {exc}") from exc
-        widths = {row.size for row in matrix}
-        if len(widths) != 1 or widths != {domain.size}:
-            raise WorkloadError(
-                f"rows workload rows must all have {domain.size} cells "
-                f"(the domain size), got widths {sorted(widths)}"
-            )
-        return workload_from_rows(domain, matrix, name=str(spec.get("name", "")))
+        return Workload(
+            domain, _rows_csr(rows, domain.size), name=str(spec.get("name", ""))
+        )
     raise WorkloadError(
         f"unknown workload kind {kind!r}; expected one of {WORKLOAD_KINDS}"
+    )
+
+
+def _rows_csr(rows: list, width: int) -> sp.csr_matrix:
+    """The CSR matrix of JSON ``rows``, built in one pass over one dense array.
+
+    Nonzeros are taken in row-major order, so the result is canonical
+    (sorted, no duplicates, no stored zeros) by construction and equals
+    ``workload_from_rows`` element for element, index dtype included.
+    """
+    try:
+        dense = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        dense = None
+    if dense is None or dense.ndim != 2 or dense.shape[1] != width:
+        raise _rows_error(rows, width)
+    if not np.isfinite(dense).all():
+        # JSON null becomes NaN here, and NaN/Infinity literals parse too.
+        raise WorkloadError("rows workload has non-numeric entries: not all finite")
+    row_of, columns = np.nonzero(dense)
+    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=dense.shape[0]), out=indptr[1:])
+    # scipy narrows the int64 index arrays to the dtype it would pick itself.
+    matrix = sp.csr_matrix((dense[row_of, columns], columns, indptr), shape=dense.shape)
+    matrix.has_canonical_format = True
+    return matrix
+
+
+def _rows_error(rows: list, width: int) -> WorkloadError:
+    """Why ``rows`` is not a rectangular numeric matrix ``width`` cells wide."""
+    widths = set()
+    for row in rows:
+        try:
+            array = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            return WorkloadError(f"rows workload has non-numeric entries: {exc}")
+        if array.ndim != 1:
+            return WorkloadError("rows workload rows must be flat lists of numbers")
+        widths.add(array.size)
+    return WorkloadError(
+        f"rows workload rows must all have {width} cells "
+        f"(the domain size), got widths {sorted(widths)}"
     )
 
 

@@ -26,6 +26,7 @@ Status-code conventions:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -226,8 +227,19 @@ async def submit_query(app, request: Request) -> Response:
     expensive request machinery.  An ``X-Request-Deadline`` header
     (unix-epoch seconds) attaches a deadline: a ticket still unflushed at
     its deadline resolves to ``"expired"`` at zero ε.
+
+    A body byte-identical to one whose workload parsed before is recalled
+    from the app's body memo: its decoded fields and the same
+    :class:`~repro.core.workload.Workload` object, so neither the JSON
+    decode nor :func:`parse_workload` runs again.  Every check below still
+    runs on a recalled body, in the same order.
     """
-    body = request.json()
+    digest = hashlib.sha256(request.body).digest()
+    recalled = app.recall_body(digest)
+    if recalled is None:
+        body, workload = request.json(), None
+    else:
+        body, workload = recalled
     client_id = body.get("client_id")
     if not isinstance(client_id, str) or not client_id:
         raise HTTPError(400, "client_id must be a non-empty string")
@@ -248,10 +260,12 @@ async def submit_query(app, request: Request) -> Response:
         app.engine.session(client_id)
     except PolicyError as exc:
         raise HTTPError(404, str(exc)) from exc
-    try:
-        workload = parse_workload(app.engine.database.domain, body.get("workload"))
-    except (WorkloadError, DomainError) as exc:
-        raise HTTPError(400, str(exc)) from exc
+    if workload is None:
+        try:
+            workload = parse_workload(app.engine.database.domain, body.get("workload"))
+        except (WorkloadError, DomainError) as exc:
+            raise HTTPError(400, str(exc)) from exc
+        app.remember_body(digest, body, workload)
     partition = body.get("partition")
     if partition is not None and not isinstance(partition, list):
         raise HTTPError(400, "partition must be a list of domain cell indices")

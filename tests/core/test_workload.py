@@ -35,6 +35,19 @@ class TestWorkloadClass:
         sparse = Workload(line_domain_16, sp.csr_matrix(np.ones((2, 16))))
         assert np.allclose(dense.dense(), sparse.dense())
 
+    def test_float_csr_matrix_is_kept_and_others_are_converted(self, line_domain_16):
+        kept = sp.csr_matrix(np.eye(16))
+        assert Workload(line_domain_16, kept).matrix is kept
+        for other in (
+            sp.csr_matrix(np.eye(16, dtype=np.float32)),
+            sp.csr_array(np.eye(16)),
+            sp.coo_matrix(np.eye(16)),
+        ):
+            matrix = Workload(line_domain_16, other).matrix
+            assert isinstance(matrix, sp.csr_matrix)
+            assert matrix.dtype == np.float64
+            assert np.array_equal(matrix.toarray(), np.eye(16))
+
     def test_one_dimensional_matrix_becomes_row(self, line_domain_16):
         workload = Workload(line_domain_16, np.ones(16))
         assert workload.shape == (1, 16)

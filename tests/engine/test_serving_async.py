@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core import Database, Domain, cumulative_workload, identity_workload
 from repro.core.workload import Workload
-from repro.engine import BatchingExecutor, PrivateQueryEngine
+from repro.engine import BatchingExecutor, FaultInjector, PrivateQueryEngine
 from repro.engine.serving import AsyncQueryEngine, AsyncTicket
 from repro.exceptions import AskTimeoutError, MechanismError
 from repro.policy import line_policy
@@ -225,6 +226,65 @@ class TestLifecycle:
                 await front.aclose()
 
         assert asyncio.run(scenario()).shape == (domain.size,)
+
+
+class TestTriggerFlushes:
+    """Size and deadline flushes are queued on the flusher thread unawaited."""
+
+    @pytest.fixture(autouse=True)
+    def clear_faults(self):
+        FaultInjector.clear()
+        yield
+        FaultInjector.clear()
+
+    def test_failed_trigger_flush_logs_and_the_next_query_is_answered(
+        self, database, domain, caplog
+    ):
+        engine = build_engine(database, domain)
+        engine.open_session("alice", 5.0)
+        caplog.set_level(logging.WARNING, logger="repro.engine.serving.async_engine")
+
+        async def scenario():
+            async with AsyncQueryEngine(engine, max_batch_size=1, max_delay=30.0) as front:
+                FaultInjector().fail_at(
+                    "serving-flush", lambda: RuntimeError("injected flusher death")
+                ).install()
+                first = front.submit("alice", row_workload(domain, 0), 0.1)
+                # The failed flush left the first ticket queued; the next
+                # trigger flush answers both.
+                second = await front.ask("alice", row_workload(domain, 1), 0.1)
+                return first, second
+
+        first, second = asyncio.run(scenario())
+        assert second.shape == (1,)
+        assert first.ticket.status == "answered"
+        failures = [
+            record
+            for record in caplog.records
+            if record.name == "repro.engine.serving.async_engine"
+            and "serving flush failed" in record.getMessage()
+        ]
+        assert len(failures) == 1
+        assert "injected flusher death" in failures[0].getMessage()
+
+    def test_aclose_resolves_tickets_queued_behind_a_stalled_trigger_flush(
+        self, database, domain
+    ):
+        engine = build_engine(database, domain)
+        engine.open_session("alice", 5.0)
+
+        async def scenario():
+            front = AsyncQueryEngine(engine, max_batch_size=1, max_delay=30.0)
+            FaultInjector().stall_at("serving-flush", 0.2).install()
+            tickets = [
+                front.submit("alice", row_workload(domain, index), 0.1)
+                for index in range(3)
+            ]
+            await front.aclose()
+            return tickets
+
+        tickets = asyncio.run(scenario())
+        assert [t.ticket.status for t in tickets] == ["answered"] * 3
 
 
 class TestDeterminism:

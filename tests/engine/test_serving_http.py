@@ -8,9 +8,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Database, Domain, cumulative_workload, identity_workload
+from repro.core import (
+    Database,
+    Domain,
+    cumulative_workload,
+    identity_workload,
+    workload_from_rows,
+)
 from repro.engine import PrivateQueryEngine
-from repro.engine.serving import ServingServer, create_app
+from repro.engine.serving import ServingServer, create_app, routes
+from repro.engine.serving.http import Request
+from repro.engine.serving.queries import parse_workload
+from repro.exceptions import WorkloadError
 from repro.policy import line_policy
 
 
@@ -575,3 +584,319 @@ class TestObservabilityIntegration:
 
         assert len(ledger(direct)) == 2
         assert ledger(direct) == ledger(served)
+
+
+# ------------------------------------------------------------ query body memo
+def raw_request(method, path, body: bytes = b"") -> Request:
+    return Request(method, path, {}, {}, body, True)
+
+
+def query_body(workload, epsilon=0.25, client_id="alice", separators=None) -> bytes:
+    return json.dumps(
+        {
+            "client_id": client_id,
+            "workload": workload,
+            "epsilon": epsilon,
+            "wait": True,
+            "timeout": 10,
+        },
+        separators=separators,
+    ).encode()
+
+
+@pytest.fixture
+def parse_counts(monkeypatch):
+    """Count ``Request.json`` and the query route's ``parse_workload`` calls."""
+    counts = {"json": 0, "parse": 0}
+    original_json = Request.json
+    original_parse = routes.parse_workload
+
+    def counting_json(self):
+        counts["json"] += 1
+        return original_json(self)
+
+    def counting_parse(domain, spec):
+        counts["parse"] += 1
+        return original_parse(domain, spec)
+
+    monkeypatch.setattr(Request, "json", counting_json)
+    monkeypatch.setattr(routes, "parse_workload", counting_parse)
+    return counts
+
+
+def run_app(engine, scenario, **app_options):
+    """Run ``scenario(app)`` against an app dispatched without a socket."""
+
+    async def runner():
+        app = create_app(engine, max_batch_size=1, max_delay=30.0, **app_options)
+        try:
+            return await scenario(app)
+        finally:
+            await app.aclose()
+
+    return asyncio.run(runner())
+
+
+async def submit(app, body: bytes):
+    """``POST /api/queries`` with raw ``body``: (status, decoded payload)."""
+    response = await app.dispatch(raw_request("POST", "/api/queries", body))
+    return response.status, json.loads(response.body)
+
+
+RANGES = {"kind": "rows", "rows": [[0.0] * 3 + [1.0] * 5 + [0.0] * 8]}
+
+
+class TestQueryBodyMemo:
+    def test_resent_body_is_parsed_once_and_replays(
+        self, database, domain, parse_counts
+    ):
+        engine = build_engine(database, domain, enable_answer_cache=True)
+        engine.open_session("alice", 5.0)
+        body = query_body(RANGES)
+
+        async def scenario(app):
+            return await submit(app, body), await submit(app, body)
+
+        (status, paid), (replay_status, replay) = run_app(engine, scenario)
+        assert status == replay_status == 200
+        assert parse_counts == {"json": 1, "parse": 1}
+        assert paid["from_cache"] is False
+        assert replay["from_cache"] is True
+        assert replay["answers"] == paid["answers"]
+        assert engine.session("alice").spent() == 0.25
+
+    def test_whitespace_variant_is_parsed_again_and_replays_by_signature(
+        self, database, domain, parse_counts
+    ):
+        engine = build_engine(database, domain, enable_answer_cache=True)
+        engine.open_session("alice", 5.0)
+
+        async def scenario(app):
+            return (
+                await submit(app, query_body(RANGES)),
+                await submit(app, query_body(RANGES, separators=(",", ":"))),
+            )
+
+        (_, paid), (_, replay) = run_app(engine, scenario)
+        assert parse_counts == {"json": 2, "parse": 2}
+        assert replay["from_cache"] is True
+        assert replay["answers"] == paid["answers"]
+
+    def test_no_memo_without_the_answer_cache(self, database, domain, parse_counts):
+        engine = build_engine(database, domain, enable_answer_cache=False)
+        engine.open_session("alice", 5.0)
+        body = query_body(RANGES)
+
+        async def scenario(app):
+            await submit(app, body)
+            await submit(app, body)
+            return len(app._body_memo)
+
+        assert run_app(engine, scenario) == 0
+        assert parse_counts == {"json": 2, "parse": 2}
+
+    def test_oldest_body_is_parsed_again_past_capacity(
+        self, database, domain, parse_counts
+    ):
+        engine = build_engine(
+            database, domain, enable_answer_cache=True, answer_cache_size=2
+        )
+        engine.open_session("alice", 5.0)
+        first, second, third = (
+            query_body({"kind": kind}) for kind in ("identity", "total", "cumulative")
+        )
+
+        async def scenario(app):
+            for body in (first, second, third):
+                await submit(app, body)
+            counts = dict(parse_counts)
+            await submit(app, third)  # recalled
+            recalled = dict(parse_counts)
+            await submit(app, first)  # evicted by the third body
+            return counts, recalled
+
+        counts, recalled = run_app(engine, scenario)
+        assert counts == recalled == {"json": 3, "parse": 3}
+        assert parse_counts == {"json": 4, "parse": 4}
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{not json",
+            query_body({"kind": "rows", "rows": [[1.0, 2.0], [1.0]]}),
+            query_body({"kind": "septagonal"}),
+        ],
+        ids=["bad-json", "ragged-rows", "unknown-kind"],
+    )
+    def test_malformed_body_is_never_memoised(
+        self, database, domain, parse_counts, body
+    ):
+        engine = build_engine(database, domain, enable_answer_cache=True)
+        engine.open_session("alice", 5.0)
+
+        async def scenario(app):
+            statuses = [(await submit(app, body))[0] for _ in range(2)]
+            return statuses, len(app._body_memo)
+
+        statuses, memoised = run_app(engine, scenario)
+        assert statuses == [400, 400]
+        assert memoised == 0
+        assert parse_counts["json"] == 2
+
+    def test_memoised_body_still_sheds_and_still_refuses_closed_sessions(
+        self, database, domain, parse_counts
+    ):
+        engine = build_engine(database, domain, enable_answer_cache=True)
+        engine.open_session("alice", 5.0)
+        body = query_body(RANGES)
+
+        async def scenario(app):
+            answered, _ = await submit(app, body)
+            app.draining = True
+            shed, shed_payload = await submit(app, body)
+            app.draining = False
+            engine.session("alice").close()
+            closed, _ = await submit(app, body)
+            return answered, shed, shed_payload["reason"], closed
+
+        assert run_app(engine, scenario) == (200, 503, "draining", 403)
+        assert parse_counts == {"json": 1, "parse": 1}
+
+
+class TestFlushWakeups:
+    def test_one_loop_wakeup_per_size_triggered_wait(self, database, domain):
+        """Each answered ``wait=true`` submit wakes the loop exactly once:
+        through its ticket's waiter, not also through a flush future."""
+        engine = build_engine(database, domain)
+        engine.open_session("alice", 5.0)
+        submits = 5
+
+        async def scenario(app):
+            loop = asyncio.get_running_loop()
+            original = loop.call_soon_threadsafe
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(args[0])
+                return original(*args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            try:
+                for _ in range(submits):
+                    status, payload = await submit(app, query_body({"kind": "total"}))
+                    assert (status, payload["status"]) == (200, "answered")
+            finally:
+                del loop.call_soon_threadsafe
+            return len(calls)
+
+        assert run_app(engine, scenario) == submits
+
+
+# ------------------------------------------------------------- rows workloads
+def rows_cases():
+    rng = np.random.default_rng(2024)
+    cases = [
+        ("random-0/1", (rng.random((6, 16)) < 0.4).astype(float).tolist()),
+        ("float-negative", rng.normal(size=(3, 16)).round(3).tolist()),
+        ("all-zero-rows", [[0.0] * 16, [1.0] * 16, [0.0] * 16]),
+        ("negative-zero", [[-0.0] * 8 + [1.0] * 8, [-0.0] * 16]),
+        ("single-row", [[0, 0, 1, 1, 1] + [0] * 11]),
+    ]
+    for index in range(8):
+        rows = rng.integers(-2, 3, size=(int(rng.integers(1, 9)), 16))
+        cases.append((f"random-{index}", rows.astype(float).tolist()))
+    return cases
+
+
+class TestRowsWorkloads:
+    @pytest.mark.parametrize(
+        "rows", [rows for _, rows in rows_cases()], ids=[n for n, _ in rows_cases()]
+    )
+    def test_one_pass_parse_matches_workload_from_rows(self, domain, rows):
+        parsed = parse_workload(domain, {"kind": "rows", "rows": rows, "name": "w"})
+        reference = workload_from_rows(domain, rows, name="w")
+        for attribute in ("indptr", "indices", "data"):
+            mine = getattr(parsed.matrix, attribute)
+            theirs = getattr(reference.matrix, attribute)
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        assert parsed.shape == reference.shape
+        assert parsed.name == "w"
+        assert parsed.signature() == reference.signature()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0] * 16, [1.0] * 15], [[1.0] * 15, [1.0] * 15], [[]]],
+        ids=["ragged", "wrong-width", "empty-row"],
+    )
+    def test_ragged_and_wrong_width_rows_name_the_widths(self, domain, rows):
+        with pytest.raises(WorkloadError, match="must all have 16 cells.*widths"):
+            parse_workload(domain, {"kind": "rows", "rows": rows})
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0] * 15, [1.0] * 17],
+            [["one"] + [0.0] * 15],
+            [[None] + [0.0] * 15],
+            [[float("nan")] + [0.0] * 15],
+            [],
+            [[[1.0] * 16]],
+            [[{"x": 1}] * 16],
+            "rows",
+        ],
+        ids=[
+            "ragged",
+            "non-numeric",
+            "null",
+            "nan",
+            "empty",
+            "nested",
+            "objects",
+            "not-a-list",
+        ],
+    )
+    def test_malformed_rows_answer_400(self, database, domain, rows):
+        engine = build_engine(database, domain)
+        engine.open_session("alice", 5.0)
+
+        async def scenario(app):
+            return await submit(app, query_body({"kind": "rows", "rows": rows}))
+
+        status, payload = run_app(engine, scenario)
+        assert status == 400
+        assert "rows" in payload["error"]
+
+
+# ------------------------------------------------------------ over-long lines
+class TestOverlongLines:
+    @pytest.mark.parametrize("where", ["request-line", "header-line"])
+    def test_line_over_the_reader_limit_answers_400_and_closes(
+        self, database, domain, where
+    ):
+        engine = build_engine(database, domain)
+        filler = "a" * 70_000
+        if where == "request-line":
+            head = f"GET /health?pad={filler} HTTP/1.1\r\nHost: x\r\n\r\n"
+        else:
+            head = f"GET /health HTTP/1.1\r\nHost: x\r\nX-Pad: {filler}\r\n\r\n"
+
+        async def scenario(host, port, server):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(head.encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+            return raw
+
+        raw = serve(engine, scenario)
+        status_line, _, rest = raw.partition(b"\r\n")
+        head_bytes, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in head_bytes
+        expected = "request line" if where == "request-line" else "header line"
+        assert json.loads(body) == {"error": f"{expected} too long"}
