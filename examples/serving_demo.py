@@ -36,8 +36,9 @@ together:
    into one dispatch per worker.  ε ledgers never depend on the backend,
    and seeded draws follow a documented derivation per backend (inline or
    pooled), so a pooled engine answers the same whatever its worker count;
-8. the plan store persists: ``engine.save_plans(path)`` writes every cached
-   plan (per-shard caches included) to disk, and a relaunched server that
+8. the plan store persists: ``engine.save_plans(path)`` writes the
+   engine's one plan cache (shard plans included, keyed by sub-policy, so
+   identical components share one plan) to disk, and a relaunched server that
    ``load_plans(path)`` serves the same workload with **zero** cold plans —
    ``plan_cache_hit_rate == 1.0``;
 9. plans are cheap to *have* as well as to find: every Gram factorisation,

@@ -4,9 +4,9 @@ The durable ε-ledger (:mod:`~repro.engine.durability.ledger_store`) makes
 spent budget survive a crash; this module makes the *performance* state
 survive too.  A :class:`Snapshotter` thread periodically persists
 
-* the plan store — ``engine.save_plans(path, prune=True)``, live-cache
-  entries only, so long-running servers' snapshots track what they
-  actually serve — and
+* the plan store — ``engine.save_plans(path)``, the engine's one plan
+  cache (shard plans included), whose LRU bound keeps a long-running
+  server's snapshots tracking what it actually serves — and
 * the answer store — every cached noisy answer with its measurements and
   the engine's next draw id, so recovered measurements keep their
   correlation structure and fresh draws never collide with them.
@@ -92,6 +92,10 @@ def read_answer_store(path: str) -> dict:
 class Snapshotter:
     """Periodic crash-consistent persistence of an engine's warm state.
 
+    Each plan snapshot writes the engine's one LRU plan cache as it stands —
+    engine-level and shard plans alike, whether planned here or loaded from
+    an earlier store — so it holds at most ``plan_cache_size`` entries.
+
     Parameters
     ----------
     engine:
@@ -103,25 +107,15 @@ class Snapshotter:
         Seconds between background snapshots.  ``start()`` is a no-op for
         a non-positive interval — :meth:`snapshot` can still be called
         explicitly (admin endpoints, tests, shutdown).
-    prune:
-        Forwarded to ``save_plans`` — ``True`` (default) writes live-cache
-        plans only.
     """
 
-    def __init__(
-        self,
-        engine,
-        directory: str,
-        interval: float = 30.0,
-        prune: bool = True,
-    ) -> None:
+    def __init__(self, engine, directory: str, interval: float = 30.0) -> None:
         self._engine = engine
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.plans_path = os.path.join(self.directory, PLANS_FILE)
         self.answers_path = os.path.join(self.directory, ANSWERS_FILE)
         self.interval = float(interval)
-        self._prune = bool(prune)
         self._stop = threading.Event()
         self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -139,7 +133,7 @@ class Snapshotter:
         both intact and mutually safe (answer entries never reference plan
         entries; stale answers simply re-pay on divergence).
         """
-        saved_plans = self._engine.save_plans(self.plans_path, prune=self._prune)
+        saved_plans = self._engine.save_plans(self.plans_path)
         fault_point("mid-snapshot")
         saved_answers = self._save_answers()
         with self._lock:

@@ -104,16 +104,10 @@ from .pipeline import (
     audit_context,
     checked_noise_model,
 )
-from .plan_cache import (
-    PLAN_STORE_FORMAT,
-    CachedPlan,
-    PlanCache,
-    read_plan_store,
-    write_plan_store,
-)
+from .plan_cache import PlanCache
 from .session import ClientSession
 from .sharding import ShardSet
-from .signature import PlanKey, policy_signature
+from .signature import policy_signature
 
 __all__ = [
     "ANSWERED",
@@ -197,7 +191,7 @@ class EngineStats:
     #: worker count (every unit is then a group of one).
     fused_units: int = 0
     #: Process-wide factorisation-store telemetry (the store is shared by
-    #: every plan, shard cache and engine in the process — see
+    #: every plan and engine in the process — see
     #: :mod:`repro.engine.factorisation` — so these fields describe the
     #: process, not this engine alone).
     factorisation_hits: int = 0
@@ -241,7 +235,9 @@ class PrivateQueryEngine:
     default_policy:
         Policy used when a query does not name one.
     plan_cache_size:
-        LRU capacity of the plan cache.
+        LRU capacity of the plan cache.  It bounds every plan the engine
+        holds: shard plans live in the same cache, keyed by their induced
+        sub-policy, so identical components share one entry.
     enable_answer_cache:
         When ``True`` (default), repeated queries are replayed for free.
     answer_cache_size:
@@ -260,8 +256,6 @@ class PrivateQueryEngine:
         scatter/gather over per-component domain shards (exact under
         parallel composition).  Workloads that a shard split cannot represent
         exactly fall back to the unsharded path automatically.
-    shard_plan_cache_size:
-        LRU capacity of each per-shard plan cache.
     execute_workers:
         When set (> 1) with the process backend, the execute stage runs on a
         shared pool of worker *processes* (:mod:`repro.engine.parallel`) —
@@ -341,7 +335,6 @@ class PrivateQueryEngine:
         consistency: bool = True,
         random_state: RandomState = None,
         enable_sharding: bool = True,
-        shard_plan_cache_size: int = 16,
         execute_workers: Optional[int] = None,
         execute_backend: str = "process",
         process_start_method: str = "spawn",
@@ -451,21 +444,11 @@ class PrivateQueryEngine:
             for stage in STAGES
         }
         self._enable_sharding = bool(enable_sharding)
-        self._shard_plan_cache_size = int(shard_plan_cache_size)
         # LRU-bounded like every other engine cache: each ShardSet pins
-        # projected sub-databases, scatter memos and per-shard plan caches.
+        # projected sub-databases and scatter memos.
         self._shard_sets: "OrderedDict[str, Optional[ShardSet]]" = OrderedDict()
         self._shard_sets_maxsize = 32
         self._shard_lock = threading.Lock()
-        # Cumulative plan-lookup counters of shard sets that left the LRU
-        # (eviction, or replacement by a racing duplicate build) — keeps the
-        # aggregated plan_hits/plan_misses monotonic across snapshots.
-        self._retired_plan_hits = 0
-        self._retired_plan_misses = 0
-        # Per-shard plan entries loaded from a persisted store, applied when
-        # the matching ShardSet is (re)built: {policy signature: {shard
-        # index: [(key, entry), ...]}}.
-        self._saved_shard_plans: Dict[str, Dict[int, list]] = {}
         self._pipeline = FlushPipeline(self)
         # The factorisation store is process-global; binding is idempotent
         # per registry, so several enabled engines share one instrument set.
@@ -1038,38 +1021,14 @@ class PrivateQueryEngine:
                 self._shard_sets.move_to_end(key)
                 return self._shard_sets[key]
         # Build outside the lock (component analysis over a large domain can
-        # be slow); a racing build of the same policy is redundant, not wrong.
-        shard_set = ShardSet.build(
-            policy, self._database, plan_cache_size=self._shard_plan_cache_size
-        )
+        # be slow); a racing build of the same policy is redundant, not wrong:
+        # builds are deterministic, so whichever set published first serves.
+        shard_set = ShardSet.build(policy, self._database)
         with self._shard_lock:
-            previous = self._shard_sets.get(key)
-            if previous is not None:
-                # A racing build published first: adopt it — its per-shard
-                # caches may already be warm, and its lookup counters stay
-                # continuously aggregated.  Builds are deterministic, so the
-                # sets are interchangeable and ours is simply discarded.
-                self._shard_sets.move_to_end(key)
-                return previous
-            self._shard_sets[key] = shard_set
+            shard_set = self._shard_sets.setdefault(key, shard_set)
             self._shard_sets.move_to_end(key)
             while len(self._shard_sets) > self._shard_sets_maxsize:
-                _, victim = self._shard_sets.popitem(last=False)
-                self._retire_shard_set(victim)
-            # The saved-plans read happens in the SAME critical section as
-            # the publish: a load_plans() racing this build either updated
-            # _saved_shard_plans before it (we see the entries here) or
-            # snapshots _shard_sets after it (it hydrates the published
-            # set).  Either way the persisted plans apply; hydration is
-            # idempotent, so both happening is fine.
-            saved = (
-                self._saved_shard_plans.get(key) if shard_set is not None else None
-            )
-        if saved:
-            # Warm-start: a persisted store carried per-shard plans for this
-            # policy; shards are deterministic given (policy, database), so
-            # index-aligned absorption is exact.
-            self._hydrate_shard_set(shard_set, saved)
+                self._shard_sets.popitem(last=False)
         return shard_set
 
     def shard_count(self, policy: Optional[PolicyGraph] = None) -> int:
@@ -1084,30 +1043,9 @@ class PrivateQueryEngine:
         shard_set = self._shard_set_for(resolved)
         return len(shard_set) if shard_set is not None else 0
 
-    def _retire_shard_set(self, shard_set: Optional[ShardSet]) -> None:
-        """Fold a departing shard set's lookup counters into the retired
-        totals (caller must hold ``_shard_lock``)."""
-        if shard_set is None:
-            return
-        for shard in shard_set.shards:
-            self._retired_plan_hits += shard.plan_cache.stats.hits
-            self._retired_plan_misses += shard.plan_cache.stats.misses
-
-    @staticmethod
-    def _hydrate_shard_set(
-        shard_set: ShardSet, per_shard: Dict[int, list]
-    ) -> int:
-        """Absorb persisted per-shard plan entries into a shard set's caches."""
-        absorbed = 0
-        for shard in shard_set.shards:
-            entries = per_shard.get(shard.index)
-            if entries:
-                absorbed += shard.plan_cache.absorb(entries)
-        return absorbed
-
     # ------------------------------------------------------------ persistence
-    def save_plans(self, path: str, prune: bool = False) -> int:
-        """Persist every cached plan — engine-level and per-shard — to ``path``.
+    def save_plans(self, path: str) -> int:
+        """Persist every cached plan, shard plans included, to ``path``.
 
         The store is the serialisation layer's on-disk face: a restarted
         server that :meth:`load_plans` the file serves the same workload with
@@ -1117,71 +1055,15 @@ class PrivateQueryEngine:
         never hit.  Stores are pickles: load only stores this deployment
         wrote itself (see :func:`~repro.engine.plan_cache.read_plan_store`).
         Returns the number of entries written.
-
-        ``prune=True`` writes only plans present in a **live** cache — the
-        engine-level cache and the per-shard caches of currently built shard
-        sets.  Staged entries (loaded from an earlier store but never
-        queried since, or stranded when their shard set was LRU-evicted)
-        are dropped from the written store, so a long-running server's
-        periodic snapshots track what it actually serves instead of
-        accreting every plan it ever loaded.  The in-memory staging is left
-        untouched — plans it holds still hydrate shard sets built later.
-        The default (``prune=False``) keeps the conservative semantics: a
-        load→save cycle never shrinks the store.
         """
-        with self._shard_lock:
-            shard_sets = {
-                key: shard_set
-                for key, shard_set in self._shard_sets.items()
-                if shard_set is not None
-            }
-            # Staged entries (loaded from a store but whose policy was never
-            # queried, or whose shard set was LRU-evicted) carry through to
-            # the new store — unless this save prunes to live caches only.
-            shard_entries: Dict[str, Dict[int, List[Tuple[PlanKey, CachedPlan]]]] = (
-                {}
-                if prune
-                else {
-                    key: {
-                        index: list(entries) for index, entries in per_shard.items()
-                    }
-                    for key, per_shard in self._saved_shard_plans.items()
-                }
-            )
-        for key, shard_set in shard_sets.items():
-            for shard in shard_set.shards:
-                live = shard.plan_cache.export_entries()
-                if not live:
-                    continue
-                # Merge live entries with staged ones per shard index: live
-                # plans are fresher, but staged plans that the small live
-                # cache LRU-evicted must still reach the store.
-                staged = shard_entries.setdefault(key, {}).get(shard.index, [])
-                live_keys = {plan_key for plan_key, _ in live}
-                shard_entries[key][shard.index] = live + [
-                    (plan_key, entry)
-                    for plan_key, entry in staged
-                    if plan_key not in live_keys
-                ]
-        entries = self.plan_cache.export_entries()
-        payload = {
-            "format": PLAN_STORE_FORMAT,
-            "entries": entries,
-            "shard_entries": shard_entries,
-        }
-        write_plan_store(path, payload)
-        return len(entries) + sum(
-            len(per) for shard in shard_entries.values() for per in shard.values()
-        )
+        return self.plan_cache.save(path)
 
     def load_plans(self, path: str, on_corrupt: str = "raise") -> int:
         """Load a persisted plan store; returns the number of entries loaded.
 
-        Engine-level entries go straight into :attr:`plan_cache`; per-shard
-        entries hydrate already-built shard sets immediately and are kept
-        around to hydrate shard sets built later (shard sets are constructed
-        lazily, per policy) — staged entries count toward the return value,
-        since they will serve as soon as their policy is first queried.
+        Entries go into :attr:`plan_cache` — including the ``shard_entries``
+        of stores written when each shard kept its own cache.  Re-loading a
+        store the cache already holds is a no-op and returns 0.
 
         A truncated/corrupt file or a format-version mismatch raises the
         versioned :class:`~repro.exceptions.PlanStoreError` (a
@@ -1198,7 +1080,7 @@ class PrivateQueryEngine:
                 f"on_corrupt must be 'raise' or 'cold', got {on_corrupt!r}"
             )
         try:
-            payload = read_plan_store(path)
+            return self.plan_cache.load(path)
         except PlanStoreError as exc:
             if on_corrupt == "raise":
                 raise
@@ -1209,36 +1091,6 @@ class PrivateQueryEngine:
                 exc,
             )
             return 0
-        loaded = self.plan_cache.absorb(payload["entries"])
-        shard_entries = payload.get("shard_entries", {})
-        with self._shard_lock:
-            built = {
-                key: shard_set
-                for key, shard_set in self._shard_sets.items()
-                if shard_set is not None and key in shard_entries
-            }
-            # Actual-inserted semantics throughout: built shard sets count
-            # what absorb() below really inserts; unbuilt policies count
-            # entries not already staged.  Re-loading the same store (or a
-            # store this engine just saved) is a no-op and returns 0.
-            # Staging merges per shard index — a second store for the same
-            # policy adds to the staged plans instead of replacing them.
-            for key, per_shard in shard_entries.items():
-                staged_policy = self._saved_shard_plans.setdefault(key, {})
-                for index, entries in per_shard.items():
-                    staged = staged_policy.setdefault(index, [])
-                    known = {plan_key for plan_key, _ in staged}
-                    fresh = [
-                        (plan_key, entry)
-                        for plan_key, entry in entries
-                        if plan_key not in known
-                    ]
-                    staged.extend(fresh)
-                    if key not in built:
-                        loaded += len(fresh)
-        for key, shard_set in built.items():
-            loaded += self._hydrate_shard_set(shard_set, shard_entries[key])
-        return loaded
 
     # ------------------------------------------------------------------ stats
     @property
@@ -1275,30 +1127,14 @@ class PrivateQueryEngine:
             telemetry = self._backend_telemetry(self._execute_backend)
         for field_name, value in telemetry.items():
             setattr(snapshot, field_name, value)
-        # Plan lookups happen in the engine-level cache AND the per-shard
-        # caches (sharded policies plan exclusively through the latter), so
-        # the warm-start gauge aggregates both — a cold sharded server must
-        # not report zero misses, and a warm one must reach hit rate 1.0.
         snapshot.plan_hits = self.plan_cache.stats.hits
         snapshot.plan_misses = self.plan_cache.stats.misses
-        with self._shard_lock:
-            live_shard_sets = [
-                shard_set
-                for shard_set in self._shard_sets.values()
-                if shard_set is not None
-            ]
-            snapshot.plan_hits += self._retired_plan_hits
-            snapshot.plan_misses += self._retired_plan_misses
-        for shard_set in live_shard_sets:
-            for shard in shard_set.shards:
-                snapshot.plan_hits += shard.plan_cache.stats.hits
-                snapshot.plan_misses += shard.plan_cache.stats.misses
         snapshot.answer_hits = self.answer_cache.stats.hits if self.answer_cache else 0
         snapshot.answer_misses = (
             self.answer_cache.stats.misses if self.answer_cache else 0
         )
         # Factorisation-store telemetry is process-wide by design (the store
-        # is what lets sibling engines and per-shard caches share Gram work).
+        # is what lets sibling engines and re-hydrated plans share Gram work).
         factorisation = get_factorisation_store().stats()
         snapshot.factorisation_hits = factorisation.hits
         snapshot.factorisation_misses = factorisation.misses

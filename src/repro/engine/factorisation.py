@@ -5,7 +5,7 @@ Gram/SuperLU factorisation, every
 :class:`~repro.blowfish.matrix_mechanism.PolicyMatrixMechanism` its own
 strategy pseudo-inverse, and every mechanism instance its own transformed
 workloads — even when dozens of cached plans (one per ε, per consistency
-mode, per shard cache, per worker process re-hydration) share the exact same
+mode, per engine, per worker process re-hydration) share the exact same
 underlying matrices.  This module deduplicates that work the same way the
 PR 5 blob protocol deduplicates bytes: by **content digest**.
 

@@ -6,10 +6,11 @@ evaporated because planning *and* mechanism execution sat inside the critical
 section.  This module narrows the locking to the transactional parts only,
 mirroring the HTAP separation of transactional and analytical paths:
 
-1. **plan** — lock-free.  Plans are memoised in signature-keyed caches
-   (:class:`~repro.engine.PlanCache`, per-shard caches) whose internal locks
-   cover only the dict lookup; actual planning runs outside any lock.  The
-   sharded scatter decision (:mod:`repro.engine.sharding`) happens here too.
+1. **plan** — lock-free.  Plans, shard plans included, are memoised in the
+   engine's signature-keyed :class:`~repro.engine.PlanCache`, whose internal
+   lock covers only the dict lookup; actual planning runs outside any lock.
+   The sharded scatter decision (:mod:`repro.engine.sharding`) happens here
+   too, and each touched shard's plan is looked up once, for every stage.
 2. **charge** — under the *narrowed accountant lock* (the per-ledger lock
    inside :class:`~repro.accounting.PrivacyAccountant`), held only for the
    microseconds of a check-then-append.  Refusals resolve tickets
@@ -284,9 +285,11 @@ class PlannedBatch:
     epsilon: float
     #: Unsharded plan (set when the batch takes the unsharded path).
     entry: Optional[CachedPlan] = None
-    #: Sharded path: the policy's shard set plus one scatter per ticket.
-    shard_set: Optional[ShardSet] = None
+    #: Sharded path: one scatter per ticket, and each touched shard's plan
+    #: by shard index — looked up once in the plan stage, so a concurrent
+    #: flush evicting it from the shared cache cannot force a re-plan.
     scatters: Optional[Dict[int, ShardScatter]] = None
+    shard_plans: Optional[Dict[int, CachedPlan]] = None
     #: Set when planning itself failed — every ticket refuses, nothing charges.
     plan_error: Optional[str] = None
     admitted: List[QueryTicket] = field(default_factory=list)
@@ -609,23 +612,25 @@ class FlushPipeline:
             if scatter is None:
                 return False
             scatters[ticket.ticket_id] = scatter
+        touched = {
+            piece.shard.index: piece.shard
+            for scatter in scatters.values()
+            for piece in scatter.pieces
+        }
         try:
-            touched = {
-                piece.shard.index: piece.shard
-                for scatter in scatters.values()
-                for piece in scatter.pieces
-            }
-            for shard in touched.values():
-                shard.plan_cache.plan_for(
+            shard_plans = {
+                index: engine.plan_cache.plan_for(
                     shard.policy,
                     batch.epsilon,
                     prefer_data_dependent=engine._prefer_data_dependent,
                     consistency=engine._consistency,
                 )
+                for index, shard in touched.items()
+            }
         except Exception:
             return False
-        batch.shard_set = shard_set
         batch.scatters = scatters
+        batch.shard_plans = shard_plans
         return True
 
     def _charge_batch(
@@ -718,7 +723,6 @@ class FlushPipeline:
         """
         if ticket.partition is None:
             return None
-        engine = self._engine
         if not batch.sharded:
             assert batch.entry is not None
             if not batch.entry.plan.algorithm.data_dependent:
@@ -731,15 +735,10 @@ class FlushPipeline:
                 "(the consistency projection also counts as data dependent), "
                 "or use a sharded multi-component policy"
             )
-        assert batch.scatters is not None
+        assert batch.scatters is not None and batch.shard_plans is not None
         for piece in batch.scatters[ticket.ticket_id].pieces:
             shard = piece.shard
-            plan = shard.plan_cache.plan_for(  # memoised in the plan stage
-                shard.policy,
-                batch.epsilon,
-                prefer_data_dependent=engine._prefer_data_dependent,
-                consistency=engine._consistency,
-            )
+            plan = batch.shard_plans[shard.index]
             if not plan.plan.algorithm.data_dependent:
                 continue
             outside = [
@@ -931,7 +930,7 @@ class FlushPipeline:
                 want_noise=want_noise,
             )
             return [(unit, None)]
-        assert batch.scatters is not None
+        assert batch.scatters is not None and batch.shard_plans is not None
         jobs: Dict[int, List[Tuple[int, int, object]]] = {}
         for position, ticket in enumerate(batch.admitted):
             scatter = batch.scatters[ticket.ticket_id]
@@ -946,14 +945,8 @@ class FlushPipeline:
         for shard_index, shard_rng in zip(shard_order, shard_rngs):
             entries = jobs[shard_index]
             shard = entries[0][2].shard  # type: ignore[attr-defined]
-            plan = shard.plan_cache.plan_for(  # memoised in the plan stage
-                shard.policy,
-                batch.epsilon,
-                prefer_data_dependent=engine._prefer_data_dependent,
-                consistency=engine._consistency,
-            )
             unit = ExecuteUnit(
-                plan=plan,
+                plan=batch.shard_plans[shard_index],
                 workloads=[piece.workload for _, _, piece in entries],  # type: ignore[attr-defined]
                 database=shard.database,
                 rng=shard_rng,

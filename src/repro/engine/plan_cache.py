@@ -226,12 +226,22 @@ class PlanCache:
     def load(self, path: str) -> int:
         """Load a persisted store into this cache; returns entries absorbed.
 
+        Stores written while every domain shard kept its own cache also carry
+        ``shard_entries`` (``{policy: {shard index: entries}}``).  Those are
+        ordinary plans keyed by their sub-policy, so they join the rest.
+
         Raises :class:`~repro.exceptions.MechanismError` on a missing file or
         a format-version mismatch (a store from an incompatible library
         version must fail loudly, not plan subtly differently).
         """
         payload = read_plan_store(path)
-        return self.absorb(payload["entries"])
+        shard_entries = [
+            item
+            for per_shard in payload.get("shard_entries", {}).values()
+            for entries in per_shard.values()
+            for item in entries
+        ]
+        return self.absorb(payload["entries"] + shard_entries)
 
     # -------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
@@ -257,8 +267,8 @@ class PlanCache:
 
 
 # ---------------------------------------------------------------------------
-# Shared on-disk helpers (also used by the engine's combined plan store,
-# which persists the per-shard caches alongside the main one).
+# Shared on-disk helpers (the snapshotter's answer store writes through the
+# same atomic rename).
 # ---------------------------------------------------------------------------
 def write_plan_store(path: str, payload: dict) -> None:
     """Atomically pickle ``payload`` to ``path`` (temp file + rename).

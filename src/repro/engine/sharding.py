@@ -19,15 +19,15 @@ components).  Two consequences power this module:
   exactly what the unsharded path would — byte-identical accounting.
 
 :class:`ShardSet` precomputes the per-component :class:`DomainShard`\\ s
-(sub-domain, induced sub-policy, projected sub-database and a dedicated
-per-shard :class:`~repro.engine.PlanCache`) and scatters workloads into
-per-shard pieces; the flush pipeline executes the pieces and gathers the
-noisy rows back into client-facing answer vectors.
+(sub-domain, induced sub-policy and projected sub-database) and scatters
+workloads into per-shard pieces; the flush pipeline executes the pieces and
+gathers the noisy rows back into client-facing answer vectors.
 
 Sharding also *smaller* planning problems: strategy construction and
 transform factorisation scale superlinearly in the domain size, so planning
-two half-size components is cheaper than planning their union — and the
-per-shard plan caches keep those artefacts independently evictable.
+two half-size components is cheaper than planning their union.  Shard plans
+live in the engine's one :class:`~repro.engine.PlanCache`, keyed by the
+sub-policy's content signature, so identical components share one plan.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..core.database import Database
 from ..core.domain import Domain
 from ..core.workload import Workload
 from ..policy.graph import BOTTOM, PolicyGraph, is_bottom
-from .plan_cache import PlanCache
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,6 @@ class DomainShard:
         shard-local indices, ``⊥`` edges preserved).
     database:
         The projected sub-histogram ``counts[cells]``.
-    plan_cache:
-        A dedicated plan cache: shard plans are keyed per shard, so a hot
-        shard never evicts a cold shard's artefacts.
     """
 
     index: int
@@ -77,7 +73,6 @@ class DomainShard:
     domain: Domain
     policy: PolicyGraph = field(repr=False)
     database: Database = field(repr=False)
-    plan_cache: PlanCache = field(repr=False, compare=False)
 
     @property
     def num_cells(self) -> int:
@@ -147,9 +142,8 @@ class ShardSet:
         """Pickle support: shards and scatter memos travel, the lock does not.
 
         Shard databases are small and every shard artefact (sub-policy,
-        projected histogram, per-shard plan cache) pickles, which is what the
-        engine's process-parallel execute backend and plan-store persistence
-        rely on.
+        projected histogram) pickles, which is what the engine's
+        process-parallel execute backend relies on.
         """
         with self._scatter_lock:
             scatter_cache = dict(self._scatter_cache)
@@ -178,11 +172,7 @@ class ShardSet:
 
     # ------------------------------------------------------------ construction
     @staticmethod
-    def build(
-        policy: PolicyGraph,
-        database: Database,
-        plan_cache_size: int = 16,
-    ) -> Optional["ShardSet"]:
+    def build(policy: PolicyGraph, database: Database) -> Optional["ShardSet"]:
         """Build the shard set for ``policy``, or ``None`` when unshardable.
 
         Sharding requires at least two connected components (one component is
@@ -235,7 +225,6 @@ class ShardSet:
                     domain=sub_domain,
                     policy=sub_policy,
                     database=sub_database,
-                    plan_cache=PlanCache(maxsize=plan_cache_size),
                 )
             )
         return ShardSet(policy=policy, shards=shards, labels=labels)

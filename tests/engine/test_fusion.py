@@ -97,7 +97,7 @@ def pooled_oracle(domain, database, segmented_policy):
         pieces = sorted(scatter.pieces, key=lambda piece: piece.shard.index)
         vectors = {}
         for piece, rng in zip(pieces, grandchildren):
-            plan = piece.shard.plan_cache.plan_for(
+            plan = PlanCache().plan_for(
                 piece.shard.policy,
                 epsilon,
                 prefer_data_dependent=True,

@@ -175,7 +175,7 @@ def oracle_answers(domain, database, split_policy, rng, pooled: bool):
     for shard_index, shard_rng in zip(sorted(jobs), shard_rngs):
         entries = jobs[shard_index]
         shard = entries[0][2].shard
-        plan = shard.plan_cache.plan_for(
+        plan = PlanCache().plan_for(
             shard.policy, epsilon, prefer_data_dependent=False, consistency=False
         )
         vectors, _ = run_unit(

@@ -160,18 +160,20 @@ class TestShardingRoundTrips:
     ):
         shard_set = ShardSet.build(split_policy, database)
         shard = shard_set.shards[0]
-        entry = shard.plan_cache.plan_for(
+        cache = PlanCache()
+        entry = cache.plan_for(
             shard.policy, 0.5, prefer_data_dependent=False, consistency=False
         )
         clone = roundtrip(shard)
         assert clone.index == shard.index
         np.testing.assert_array_equal(clone.cells, shard.cells)
         np.testing.assert_array_equal(clone.database.counts, shard.database.counts)
-        # The per-shard plan cache travelled warm and keeps planning.
-        clone_entry = clone.plan_cache.plan_for(
+        # The round-tripped sub-policy keys the same plan-cache entry.
+        clone_entry = cache.plan_for(
             clone.policy, 0.5, prefer_data_dependent=False, consistency=False
         )
-        assert clone.plan_cache.stats.hits >= 1
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert clone_entry is entry
         workload = identity_workload(shard.domain)
         np.testing.assert_array_equal(
             entry.plan.algorithm.answer(

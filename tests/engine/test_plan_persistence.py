@@ -11,9 +11,17 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import Database, Domain, cumulative_workload, identity_workload
+from repro.core import (
+    Database,
+    Domain,
+    cumulative_workload,
+    identity_workload,
+    total_workload,
+)
 from repro.core.workload import Workload
-from repro.engine import PLAN_STORE_FORMAT, PlanCache, PrivateQueryEngine
+from repro.engine import PLAN_STORE_FORMAT, PlanCache, PrivateQueryEngine, ShardSet
+from repro.engine.plan_cache import write_plan_store
+from repro.engine.signature import policy_signature
 from repro.exceptions import MechanismError
 from repro.policy import PolicyGraph, line_policy
 
@@ -222,16 +230,15 @@ class TestEngineWarmStart:
         saved = cold.save_plans(str(path))
         assert saved >= 1  # at least the touched shard's plan
 
-        # Load BEFORE the shard set exists: hydration must apply when the
-        # lazily built shards appear.
+        # Load BEFORE the shard set exists: the lazily built shards plan
+        # through the engine cache, which already holds their plan.
         warm = make_engine(database, domain, default_policy=split_policy)
         warm.load_plans(str(path))
         warm.open_session("alice", 10.0)
         warm.ask("alice", left, epsilon=0.5)
-        shard_set = warm._shard_set_for(split_policy)
-        touched = shard_set.shards[0]
-        assert touched.plan_cache.stats.misses == 0
-        assert touched.plan_cache.stats.hits >= 1
+        assert warm.stats.sharded_batches == 1
+        assert warm.stats.plan_misses == 0
+        assert warm.stats.plan_hits >= 1
 
     def test_load_after_shard_set_built_hydrates_immediately(
         self, database, domain, split_policy, tmp_path
@@ -251,14 +258,14 @@ class TestEngineWarmStart:
         warm.load_plans(str(path))
         warm.open_session("alice", 10.0)
         warm.ask("alice", left, epsilon=0.5)
-        touched = warm._shard_set_for(split_policy).shards[0]
-        assert touched.plan_cache.stats.misses == 0
+        assert warm.stats.sharded_batches == 1
+        assert warm.stats.plan_misses == 0
 
     def test_sharded_warm_start_reaches_hit_rate_one(
         self, database, domain, split_policy, tmp_path
     ):
-        """EngineStats aggregates per-shard plan lookups: a cold sharded
-        server reports misses, a warm-started one reaches hit rate 1.0."""
+        """Shard plan lookups count in EngineStats: a cold sharded server
+        reports misses, a warm-started one reaches hit rate 1.0."""
         path = tmp_path / "store.pkl"
         half = domain.size // 2
         left = Workload(
@@ -281,7 +288,7 @@ class TestEngineWarmStart:
     def test_load_save_cycle_preserves_unqueried_shard_plans(
         self, database, domain, split_policy, tmp_path
     ):
-        """Staged shard entries survive a load→save cycle even when their
+        """Loaded shard plans survive a load→save cycle even when their
         policy was never queried in between."""
         first = tmp_path / "first.pkl"
         second = tmp_path / "second.pkl"
@@ -297,7 +304,8 @@ class TestEngineWarmStart:
         relay = make_engine(database, domain, default_policy=split_policy)
         loaded = relay.load_plans(str(first))
         assert loaded >= 1
-        # Never queried: the shard set was never built, entries stay staged.
+        # Never queried: the shard set was never built, yet its plans sit in
+        # the engine cache and reach the new store.
         relay.save_plans(str(second))
 
         final = make_engine(database, domain, default_policy=split_policy)
@@ -310,7 +318,7 @@ class TestEngineWarmStart:
         self, database, domain, split_policy, tmp_path
     ):
         """Stores for the same policy accumulate: a later load must not
-        replace an earlier store's staged per-shard plans."""
+        replace an earlier store's shard plans."""
         half = domain.size // 2
         left = Workload(
             domain, np.hstack([np.eye(half), np.zeros((half, half))]), name="left"
@@ -352,6 +360,43 @@ class TestEngineWarmStart:
         assert warm.load_plans(str(path)) >= 1
         assert warm.load_plans(str(path)) == 0  # second load absorbs nothing
 
+    def test_store_with_per_shard_entries_loads_into_the_one_cache(
+        self, database, domain, split_policy, tmp_path
+    ):
+        """Format-2 stores written when each shard kept its own cache carry
+        shard plans under ``shard_entries``; they load into the engine cache
+        and serve a sharded ask with zero cold plans."""
+        shard_set = ShardSet.build(split_policy, database)
+        entry = PlanCache().plan_for(
+            shard_set.shards[0].policy,
+            0.5,
+            prefer_data_dependent=False,
+            consistency=False,
+        )
+        path = tmp_path / "per-shard.pkl"
+        write_plan_store(
+            str(path),
+            {
+                "format": PLAN_STORE_FORMAT,
+                "entries": [],
+                # Both identical segments held the same plan in their caches.
+                "shard_entries": {
+                    policy_signature(split_policy): {
+                        shard.index: [(entry.key, entry)]
+                        for shard in shard_set.shards
+                    }
+                },
+            },
+        )
+        warm = make_engine(database, domain, default_policy=split_policy)
+        assert warm.load_plans(str(path)) == 1
+        warm.open_session("alice", 10.0)
+        warm.ask("alice", identity_workload(domain), epsilon=0.5)
+        stats = warm.stats
+        assert stats.sharded_batches == 1
+        assert stats.plan_misses == 0
+        assert stats.plan_hits == 2
+
     def test_mismatched_store_is_inert_not_wrong(self, database, domain, tmp_path):
         """A store saved under one policy never hits for another policy."""
         path = tmp_path / "store.pkl"
@@ -371,7 +416,12 @@ class TestEngineWarmStart:
 
 
 class TestPrunedSaves:
-    """save_plans(prune=True): snapshot what the engine actually serves."""
+    """A save writes the one plan cache as it stands.
+
+    Shard plans live in the engine's LRU, so there is no staging area left
+    to prune: a save writes engine-level and shard plans, served or only
+    loaded alike, and the cache keeps serving afterwards.
+    """
 
     def left_workload(self, domain) -> Workload:
         half = domain.size // 2
@@ -379,53 +429,32 @@ class TestPrunedSaves:
             domain, np.hstack([np.eye(half), np.zeros((half, half))]), name="left"
         )
 
-    def test_prune_drops_staged_entries_never_queried(
-        self, database, domain, split_policy, tmp_path
-    ):
-        """A long-running server must not snapshot plans it only ever
-        loaded: a pruned save keeps live caches, drops the staging area."""
-        first = tmp_path / "first.pkl"
-        pruned = tmp_path / "pruned.pkl"
-        left = self.left_workload(domain)
-        cold = make_engine(database, domain, default_policy=split_policy)
-        cold.open_session("alice", 10.0)
-        cold.ask("alice", left, epsilon=0.5)
-        assert cold.save_plans(str(first)) >= 1
-
-        relay = make_engine(database, domain, default_policy=split_policy)
-        relay.load_plans(str(first))
-        # The split policy was never queried here: its shard set was never
-        # built, so its entries live only in the staging area.
-        assert relay.save_plans(str(pruned), prune=True) == 0
-
-        final = make_engine(database, domain, default_policy=split_policy)
-        assert final.load_plans(str(pruned)) == 0
-
     def test_prune_keeps_live_engine_and_shard_plans(
         self, database, domain, split_policy, tmp_path
     ):
-        """Entries in live caches — engine-level and per-shard — survive a
-        pruned save and still warm-start a fresh engine."""
+        """Engine-level and shard plans both reach the store and still
+        warm-start a fresh engine."""
         path = tmp_path / "store.pkl"
         left = self.left_workload(domain)
         engine = make_engine(database, domain, default_policy=split_policy)
         engine.open_session("alice", 10.0)
-        engine.ask("alice", left, epsilon=0.5)  # per-shard plan
-        engine.ask("alice", identity_workload(domain), epsilon=0.25)  # engine-level
-        assert engine.save_plans(str(path), prune=True) >= 2
+        engine.ask("alice", left, epsilon=0.5)  # shard plan
+        engine.ask("alice", total_workload(domain), epsilon=0.25)  # engine-level
+        assert engine.stats.sharded_batches == 1
+        assert engine.save_plans(str(path)) == 2
 
         warm = make_engine(database, domain, default_policy=split_policy)
-        assert warm.load_plans(str(path)) >= 2
+        assert warm.load_plans(str(path)) == 2
         warm.open_session("alice", 10.0)
         warm.ask("alice", left, epsilon=0.5)
-        warm.ask("alice", identity_workload(domain), epsilon=0.25)
+        warm.ask("alice", total_workload(domain), epsilon=0.25)
         assert warm.stats.plan_misses == 0
 
     def test_default_save_still_preserves_staged_entries(
         self, database, domain, split_policy, tmp_path
     ):
-        """prune is opt-in: the conservative load→save round trip of
-        test_load_save_cycle_preserves_unqueried_shard_plans stays intact."""
+        """A load→save round trip of loaded-but-unqueried shard plans never
+        shrinks the store (within ``plan_cache_size``)."""
         first = tmp_path / "first.pkl"
         second = tmp_path / "second.pkl"
         left = self.left_workload(domain)
@@ -444,10 +473,10 @@ class TestPrunedSaves:
     def test_prune_leaves_in_memory_staging_usable(
         self, database, domain, split_policy, tmp_path
     ):
-        """A pruned save must not break the engine itself: staged plans
-        still hydrate shard sets built afterwards."""
+        """A save must not disturb the engine itself: loaded plans still
+        serve a shard set built afterwards."""
         first = tmp_path / "first.pkl"
-        pruned = tmp_path / "pruned.pkl"
+        second = tmp_path / "second.pkl"
         left = self.left_workload(domain)
         cold = make_engine(database, domain, default_policy=split_policy)
         cold.open_session("alice", 10.0)
@@ -456,9 +485,9 @@ class TestPrunedSaves:
 
         relay = make_engine(database, domain, default_policy=split_policy)
         relay.load_plans(str(first))
-        relay.save_plans(str(pruned), prune=True)
-        # First query after the pruned save: the shard set is built now and
-        # hydrates from the (untouched) in-memory staging — zero cold plans.
+        relay.save_plans(str(second))
+        # First query after the save: the shard set is built now and its
+        # plan is already in the engine cache — zero cold plans.
         relay.open_session("alice", 10.0)
         relay.ask("alice", left, epsilon=0.5)
         assert relay.stats.plan_misses == 0

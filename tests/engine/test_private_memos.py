@@ -111,15 +111,10 @@ def _make_engine(database, policy, **overrides) -> PrivateQueryEngine:
 
 
 def _tree_mechanisms(engine: PrivateQueryEngine):
-    caches = [engine.plan_cache]
-    for shard_set in engine._shard_sets.values():
-        if shard_set is not None:
-            caches.extend(shard.plan_cache for shard in shard_set.shards)
-    for cache in caches:
-        for _, entry in cache.export_entries():
-            mechanism = entry.plan.algorithm.mechanism
-            if isinstance(mechanism, TreeTransformMechanism):
-                yield mechanism
+    for _, entry in engine.plan_cache.export_entries():
+        mechanism = entry.plan.algorithm.mechanism
+        if isinstance(mechanism, TreeTransformMechanism):
+            yield mechanism
 
 
 class TestPlanStore:

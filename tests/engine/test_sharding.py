@@ -8,6 +8,7 @@ import pytest
 from repro.core import Database, Domain, identity_workload, total_workload
 from repro.core.workload import Workload
 from repro.engine import PrivateQueryEngine, ShardSet
+from repro.engine.signature import plan_key
 from repro.exceptions import PrivacyBudgetError
 from repro.policy import PolicyGraph, line_policy
 from repro.policy.builders import sensitive_attribute_policy
@@ -187,12 +188,42 @@ class TestShardedEngineExecution:
         engine.open_session("alice", 10.0)
         engine.ask("alice", identity_workload(domain), epsilon=0.5)
         engine.ask("alice", left_workload(domain), epsilon=0.5)
-        # The sharded path planned in the per-shard caches, not the main one.
-        assert engine.plan_cache.stats.misses == 0
-        shard_set = engine._shard_set_for(split_policy)
-        for shard in shard_set.shards:
-            assert len(shard.plan_cache) == 1
-            assert shard.plan_cache.stats.hits >= 1
+        # Shard plans live in the engine's one cache, keyed by sub-policy:
+        # the two identical segments share one plan, planned once and then
+        # looked up once per touched shard per batch.
+        assert len(engine.plan_cache) == 1
+        assert engine.plan_cache.stats.misses == 1
+        assert engine.plan_cache.stats.hits == 2
+        (entry,) = [entry for _, entry in engine.plan_cache.export_entries()]
+        for shard in engine._shard_set_for(split_policy).shards:
+            assert entry.key == plan_key(
+                shard.policy, 0.5, prefer_data_dependent=False, consistency=False
+            )
+
+    def test_each_shard_plan_is_looked_up_once_per_batch(self, database, domain):
+        """Charge and execute reuse the plan stage's shard plans: with room
+        for one plan, the second component's plan evicts the first, yet
+        neither is planned again later in the flush."""
+        uneven = PolicyGraph(
+            domain,
+            edges=[(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 15)],
+            name="uneven-segments",
+        )
+        engine = self.make_engine(
+            database,
+            uneven,
+            plan_cache_size=1,
+            prefer_data_dependent=True,
+            consistency=True,
+        )
+        engine.open_session("alice", 10.0)
+        # A whole-domain partition sends the charge stage through the
+        # per-shard data-dependence check as well.
+        engine.ask("alice", identity_workload(domain), epsilon=0.5, partition=range(16))
+        stats = engine.stats
+        assert stats.sharded_batches == 1
+        assert stats.plan_misses == 2
+        assert stats.plan_hits == 0
 
     def test_sharding_can_be_disabled(self, database, split_policy, domain):
         engine = self.make_engine(database, split_policy, enable_sharding=False)
