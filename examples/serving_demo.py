@@ -34,8 +34,9 @@ together:
    dispatches ship content digests instead of plan/database pickles, and
    a flush holding more work units than workers fuses compatible units
    into one dispatch per worker.  ε ledgers never depend on the backend,
-   and seeded draws follow a documented derivation per backend (inline or
-   pooled), so a pooled engine answers the same whatever its worker count;
+   and seeded draws follow one documented derivation on every backend, so
+   a seeded engine answers the same inline, on any worker count, and after
+   ``close``;
 8. the plan store persists: ``engine.save_plans(path)`` writes the
    engine's one plan cache (shard plans included, keyed by sub-policy, so
    identical components share one plan) to disk, and a relaunched server that
@@ -492,7 +493,7 @@ def factorisation_demo(database: Database, domain: Domain) -> None:
 def observability_demo(database: Database, domain: Domain) -> None:
     """The flight recorder: flush traces, metric percentiles, the ε audit.
 
-    One hub wires all three consumers: each flush (and each top-up) gets a
+    One hub wires all three consumers: each flush (a top-up is one) gets a
     trace whose spans cross the process boundary — the worker measures its
     own span and ships it back with the answers — the registry accumulates
     engine counters and latency histograms behind the same ``stats`` the
@@ -530,7 +531,8 @@ def observability_demo(database: Database, domain: Domain) -> None:
                 f"(this process is {os.getpid()})"
             )
 
-            # A top-up gets its own trace, and a refusal still hits the audit.
+            # A top-up is a flush of its own ticket, traced like any other;
+            # a refusal still hits the audit.
             engine.top_up("alice", identity_workload(domain), extra_epsilon=0.125)
             try:
                 engine.ask("bob", cumulative_workload(domain), epsilon=1.0)

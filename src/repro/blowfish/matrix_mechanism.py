@@ -28,11 +28,10 @@ import scipy.sparse as sp
 
 from ..core.database import Database
 from ..core.rng import RandomState
-from ..core.workload import Workload
+from ..core.workload import Workload, WorkloadTransformCache
 from ..exceptions import MechanismError
 from ..mechanisms.base import (
     NoiseModel,
-    WorkloadTransformCache,
     basis_noise_model,
     laplace_noise,
 )

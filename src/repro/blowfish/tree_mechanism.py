@@ -29,12 +29,11 @@ import scipy.sparse as sp
 
 from ..core.database import Database
 from ..core.rng import RandomState
-from ..core.workload import Workload
+from ..core.workload import Workload, WorkloadTransformCache
 from ..exceptions import MechanismError, PolicyNotTreeError
 from ..mechanisms.base import (
     HistogramMechanism,
     NoiseModel,
-    WorkloadTransformCache,
     basis_noise_model,
 )
 from ..mechanisms.dawa import DawaMechanism

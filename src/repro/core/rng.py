@@ -8,7 +8,7 @@ deterministic without any module-level global state.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -40,6 +40,22 @@ def ensure_rng(random_state: RandomState = None) -> np.random.Generator:
         "random_state must be None, an int seed, or a numpy Generator, "
         f"got {type(random_state).__name__}"
     )
+
+
+def spawn_children(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
+    """Derive ``count`` independent child generators from ``rng``.
+
+    ``Generator.spawn`` needs a seed sequence that can spawn; a generator
+    over a legacy-seeded bit generator (e.g. ``MT19937._legacy_seeding``)
+    lacks one and raises ``TypeError``, so its children are seeded from its
+    own stream instead.
+    """
+    try:
+        return list(rng.spawn(count))
+    except TypeError:
+        return [
+            np.random.default_rng(int(rng.integers(0, 2**63))) for _ in range(count)
+        ]
 
 
 def spawn_rngs(random_state: RandomState, count: int) -> list[np.random.Generator]:

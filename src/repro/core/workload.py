@@ -16,8 +16,20 @@ constructors used throughout the paper:
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 import scipy.sparse as sp
@@ -421,3 +433,75 @@ def answer_workloads_batched_with_noise(
     except Exception:
         model = None
     return [batched[rows] for rows in slices], model
+
+
+T = TypeVar("T")
+_MISSING = object()
+
+
+class WorkloadTransformCache:
+    """A small, bounded, signature-keyed memo for per-workload artefacts.
+
+    The serving engine caches planned mechanisms and invokes them from many
+    flush threads concurrently, so a per-workload memo (e.g. a mechanism's
+    transformed matrix ``W_G = W' P_G``, or a shard set's scatter decision)
+    must be re-entrant.  Lookups and inserts take a lock; the expensive
+    ``compute`` runs *outside* it: a racing thread may compute the same
+    entry twice, and the second insert simply wins — the artefacts are
+    deterministic, so the values are interchangeable.  Past ``maxsize`` an
+    insert evicts the least recently used entry, and only that one.
+    """
+
+    def __init__(self, maxsize: int = 8) -> None:
+        if maxsize <= 0:
+            raise ValueError(f"maxsize must be positive, got {maxsize}")
+        self._maxsize = int(maxsize)
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get_or_compute(self, workload: Workload, compute: Callable[[Workload], T]) -> T:
+        """Return the memoised artefact for ``workload``, computing on a miss.
+
+        Keys are content signatures: equal-but-distinct :class:`Workload`
+        objects (what a serving engine sees on every client request) share one
+        entry, and a recycled ``id()`` can never alias a stale matrix.  A
+        ``None`` artefact is memoised like any other.
+        """
+        key = workload.signature()
+        with self._lock:
+            cached = self._entries.get(key, _MISSING)
+            if cached is not _MISSING:
+                self._entries.move_to_end(key)
+                return cached  # type: ignore[return-value]
+        value = compute(workload)
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
+        return value
+
+    def clear(self) -> None:
+        """Drop every memoised artefact."""
+        with self._lock:
+            self._entries.clear()
+
+    # -------------------------------------------------------------- pickling
+    def __getstate__(self) -> dict:
+        """Pickle support: ship the memoised artefacts, drop the lock.
+
+        Mechanisms travel to worker processes and to disk inside cached
+        plans.  The entries (transformed workload matrices) are deterministic
+        values worth keeping warm; the lock is recreated on the other side.
+        """
+        with self._lock:
+            entries = dict(self._entries)
+        return {"_maxsize": self._maxsize, "_entries": entries}
+
+    def __setstate__(self, state: dict) -> None:
+        self._maxsize = state["_maxsize"]
+        self._entries = OrderedDict(state["_entries"])
+        self._lock = threading.Lock()

@@ -258,61 +258,47 @@ class AnswerCache:
             ]
 
     def store(
-        self,
-        policy: PolicyGraph,
-        workload: Workload,
-        epsilon: float,
-        answers: np.ndarray,
-        draw_id: Optional[int] = None,
-        shard_draw_ids: Optional[Dict[int, int]] = None,
-        noise_stds: Optional[np.ndarray] = None,
-        noise_bases: Optional[Dict[int, sp.csr_matrix]] = None,
+        self, policy: PolicyGraph, workload: Workload, measurement: Measurement
     ) -> CachedAnswer:
-        """Store a freshly paid-for answer vector.
+        """Store a freshly paid-for measurement as the entry for its query.
 
-        ``draw_id`` tags the mechanism invocation the measurement came from
-        (batch-mates stored with the same id share a noise draw); sharded
-        answers pass ``shard_draw_ids`` instead, one id per per-shard
-        invocation the gathered vector mixes.  ``noise_stds`` /
-        ``noise_bases`` attach the mechanism's honest noise model when it
-        could state one (see :class:`Measurement`).
+        The entry is keyed at the measurement's ε and serves a copy of its
+        answers; the measurement itself is kept as released (see
+        :class:`Measurement` for its draw ids and noise model).
         """
-        key = answer_key(policy, workload, epsilon)
-        vector = np.asarray(answers, dtype=np.float64).copy()
-        measurement = Measurement(
-            answers=vector.copy(),
-            epsilon=float(epsilon),
-            draw_id=draw_id,
-            shard_draw_ids=dict(shard_draw_ids) if shard_draw_ids else None,
-            noise_stds=(
-                np.asarray(noise_stds, dtype=np.float64).copy()
-                if noise_stds is not None
-                else None
-            ),
-            noise_bases=dict(noise_bases) if noise_bases else None,
-        )
-        entry = CachedAnswer(
+        key = answer_key(policy, workload, measurement.epsilon)
+        entry = self._new_entry(key, workload, measurement.epsilon, measurement)
+        with self._lock:
+            self._put(key, entry)
+        return entry
+
+    @staticmethod
+    def _new_entry(
+        key: AnswerKey, workload: Workload, epsilon: float, measurement: Measurement
+    ) -> CachedAnswer:
+        return CachedAnswer(
             key=key,
             workload=workload,
             epsilon=float(epsilon),
-            answers=vector,
+            answers=measurement.answers.copy(),
             measurements=[measurement],
         )
-        with self._lock:
-            already_present = key in self._entries
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            if not already_present:
-                self._by_policy.setdefault(key[0], []).append(key)
-            while len(self._entries) > self._maxsize:
-                evicted_key, _ = self._entries.popitem(last=False)
-                policy_keys = self._by_policy.get(evicted_key[0])
-                if policy_keys is not None:
-                    policy_keys.remove(evicted_key)
-                    if not policy_keys:
-                        del self._by_policy[evicted_key[0]]
-                self.stats.evictions += 1
-        return entry
+
+    def _put(self, key: AnswerKey, entry: CachedAnswer) -> None:
+        """Insert (or replace) ``entry`` as most recent, evicting LRU past
+        ``maxsize``.  The caller holds the lock."""
+        if key not in self._entries:
+            self._by_policy.setdefault(key[0], []).append(key)
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        while len(self._entries) > self._maxsize:
+            evicted_key, _ = self._entries.popitem(last=False)
+            policy_keys = self._by_policy.get(evicted_key[0])
+            if policy_keys is not None:
+                policy_keys.remove(evicted_key)
+                if not policy_keys:
+                    del self._by_policy[evicted_key[0]]
+            self.stats.evictions += 1
 
     def append_measurement(
         self,
@@ -336,26 +322,8 @@ class AnswerCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = CachedAnswer(
-                    key=key,
-                    workload=workload,
-                    epsilon=float(key_epsilon),
-                    answers=measurement.answers.copy(),
-                    measurements=[measurement],
-                )
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-                self._by_policy.setdefault(key[0], []).append(key)
-                # Same bound discipline as store(): the race re-insert must
-                # not push the cache past its documented maxsize.
-                while len(self._entries) > self._maxsize:
-                    evicted_key, _ = self._entries.popitem(last=False)
-                    policy_keys = self._by_policy.get(evicted_key[0])
-                    if policy_keys is not None:
-                        policy_keys.remove(evicted_key)
-                        if not policy_keys:
-                            del self._by_policy[evicted_key[0]]
-                    self.stats.evictions += 1
+                entry = self._new_entry(key, workload, key_epsilon, measurement)
+                self._put(key, entry)
                 self.stats.top_ups += 1
                 return entry
             entry.measurements.append(measurement)
@@ -406,18 +374,8 @@ class AnswerCache:
             for key, entry in entries:
                 if key in self._entries:
                     continue
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-                self._by_policy.setdefault(key[0], []).append(key)
+                self._put(key, entry)
                 inserted.append(key)
-                while len(self._entries) > self._maxsize:
-                    evicted_key, _ = self._entries.popitem(last=False)
-                    policy_keys = self._by_policy.get(evicted_key[0])
-                    if policy_keys is not None:
-                        policy_keys.remove(evicted_key)
-                        if not policy_keys:
-                            del self._by_policy[evicted_key[0]]
-                    self.stats.evictions += 1
             return sum(1 for key in inserted if key in self._entries)
 
     def max_draw_id(self) -> int:

@@ -61,7 +61,6 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +68,7 @@ import numpy as np
 
 from ..accounting.composition import PrivacyAccountant
 from ..core.database import Database
-from ..core.rng import RandomState, ensure_rng
+from ..core.rng import RandomState, ensure_rng, spawn_children
 from ..core.workload import Workload
 from ..exceptions import (
     AskTimeoutError,
@@ -80,29 +79,23 @@ from ..exceptions import (
     PrivacyBudgetError,
 )
 from ..policy.graph import PolicyGraph, is_bottom
-from .answer_cache import AnswerCache, Measurement
+from .answer_cache import AnswerCache
 from .durability.ledger_store import LedgerStore
 from .durability.snapshotter import Snapshotter
 from .factorisation import get_store as get_factorisation_store
 from .observability import Observability
-from .parallel import (
-    INLINE_BACKEND,
-    ExecuteUnit,
-    ExecuteUnitGroup,
-    create_execute_backend,
-    execute_groups,
-)
+from .parallel import INLINE_BACKEND, create_execute_backend
 from .pipeline import (
     ANSWERED,
     CANCELLED,
+    EXECUTE_FAILED,
     EXPIRED,
     PENDING,
+    PLAN_FAILED,
     REFUSED,
     STAGES,
     FlushPipeline,
     QueryTicket,
-    audit_context,
-    checked_noise_model,
 )
 from .plan_cache import PlanCache
 from .session import ClientSession
@@ -146,7 +139,9 @@ class EngineStats:
     queries_cancelled: int = 0
     answer_cache_replays: int = 0
     #: Fresh measurements bought through :meth:`PrivateQueryEngine.top_up`,
-    #: each charging exactly its declared ε increment.
+    #: each charging exactly its declared ε increment.  A top-up is a
+    #: ticket, so it also counts as a submitted and an answered (or refused)
+    #: query.
     top_ups: int = 0
     flushes: int = 0
     batches_executed: int = 0
@@ -247,10 +242,14 @@ class PrivateQueryEngine:
         Planner configuration forwarded to
         :func:`repro.blowfish.plan_mechanism`.
     random_state:
-        Seed or generator for the engine's noise stream.  Concurrent flushes
-        each derive an independent child stream from it; passing an explicit
-        ``random_state`` to :meth:`flush` bypasses the derivation for
-        reproducible single-flush tests.
+        Seed or generator for the engine's noise stream.  Each flush (a
+        top-up included) derives an independent child stream from it, and
+        the flush deals one child of that stream to each of its batches —
+        the same derivation on every execute backend, so a seeded engine
+        draws the same answers inline, on a pool of any width, and after
+        :meth:`close`.  Passing an explicit ``random_state`` to
+        :meth:`flush` replaces the flush stream for reproducible
+        single-flush tests.
     enable_sharding:
         When ``True`` (default), multi-component policies are served
         scatter/gather over per-component domain shards (exact under
@@ -269,26 +268,19 @@ class PrivateQueryEngine:
     execute_backend:
         ``"process"`` (default) or ``"inline"`` (never a pool, whatever
         ``execute_workers`` says); anything else raises ``ValueError``.
-        The backend picks the RNG derivation.  *Inline* engines run batches
-        one after another: an unsharded batch draws from the flush stream
-        itself, a sharded batch spawns its per-shard children from it when
-        its turn comes.  *Pooled* engines spawn one child stream per batch
-        up front, and a sharded batch spawns per-shard grandchildren from
-        its child — so a flush's answers depend on batch grouping rather
-        than on submission order.  Per-shard streams follow sorted shard
-        order either way.  Where a unit runs and how units share a
-        dispatch never change the draws, and ε ledgers never depend on the
-        backend at all.  A closed engine flushes inline, with the inline
-        derivation.
-    process_start_method:
-        ``multiprocessing`` start method of the process backend (default
-        ``"spawn"``; ``"fork"`` starts faster but is unsafe with threads).
-        The usual :mod:`multiprocessing` caveat applies: a *script* that
-        builds a process-backed engine at module level must guard it with
-        ``if __name__ == "__main__":`` — spawned workers re-import the main
-        module, and an unguarded script would recurse.  (A worker crash is
-        contained either way: the affected batch's charges roll back and
-        its tickets refuse with a clear error.)
+        The backend never changes the draws: every batch draws from its
+        own child of the flush stream (see ``random_state``), a sharded
+        batch's per-shard streams are spawned from that child in sorted
+        shard order, and where a unit runs or how units share a dispatch
+        is decided only afterwards.  ε ledgers never depend on the backend
+        at all.  A closed engine flushes inline.  Worker processes use the
+        ``spawn`` start method, so the usual :mod:`multiprocessing` caveat
+        applies: a *script* that builds a process-backed engine at module
+        level must guard it with ``if __name__ == "__main__":`` — spawned
+        workers re-import the main module, and an unguarded script would
+        recurse.  (A worker crash is contained either way: the affected
+        batch's charges roll back and its tickets refuse with a clear
+        error.)
     observability:
         Optional :class:`~repro.engine.observability.Observability` hub.
         When omitted, a **disabled** hub is built: aggregate counters still
@@ -337,7 +329,6 @@ class PrivateQueryEngine:
         enable_sharding: bool = True,
         execute_workers: Optional[int] = None,
         execute_backend: str = "process",
-        process_start_method: str = "spawn",
         observability: Optional[Observability] = None,
         durable_ledger: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
@@ -375,13 +366,16 @@ class PrivateQueryEngine:
         self._sessions: Dict[str, ClientSession] = {}
         self._pending: List[QueryTicket] = []
         self._ticket_ids = itertools.count(1)
+        # Top-up tickets count down from -1, so asks' ids — and the ledger
+        # labels built from them — never depend on how many top-ups ran.
+        self._top_up_ids = itertools.count(-1, -1)
         self._draw_ids = itertools.count(1)
         # Serving counters are registry instruments, pre-bound here so hot
         # paths never re-ask the registry.  The pipeline increments the
         # _c_* / _h_* attributes directly.
         metrics = obs.metrics
         self._c_submitted = metrics.counter(
-            "engine_queries_submitted_total", "Queries accepted by submit()"
+            "engine_queries_submitted_total", "Tickets queued by submit() or top_up()"
         )
         self._c_answered = metrics.counter(
             "engine_queries_answered_total", "Tickets resolved with an answer"
@@ -457,7 +451,6 @@ class PrivateQueryEngine:
         self._execute_backend = create_execute_backend(
             execute_backend,
             0 if execute_workers is None else int(execute_workers),
-            process_start_method=process_start_method,
             # Worker processes preload the served database through the pool
             # initializer, so it never crosses the pipe per dispatch.
             preload=(database,),
@@ -647,24 +640,47 @@ class PrivateQueryEngine:
                     f"Query deadline must be a finite monotonic instant, "
                     f"got {deadline}"
                 )
+        return self._enqueue(
+            client_id,
+            workload,
+            resolved_policy,
+            epsilon,
+            partition=frozen_partition,
+            deadline=deadline,
+        )
+
+    def _enqueue(
+        self,
+        client_id: str,
+        workload: Workload,
+        policy: PolicyGraph,
+        epsilon: float,
+        partition: Optional[frozenset] = None,
+        deadline: Optional[float] = None,
+        top_up: Optional[tuple] = None,
+    ) -> QueryTicket:
+        """Queue one validated ticket under its (still open) session."""
         with self._queue_lock:
             session = self.session(client_id)
             if session.closed:
                 raise PrivacyBudgetError(f"Session {client_id!r} is closed")
             ticket = QueryTicket(
-                ticket_id=next(self._ticket_ids),
+                ticket_id=next(
+                    self._ticket_ids if top_up is None else self._top_up_ids
+                ),
                 client_id=session.client_id,
                 workload=workload,
-                policy=resolved_policy,
+                policy=policy,
                 epsilon=float(epsilon),
                 session=session,
-                partition=frozen_partition,
+                partition=partition,
                 # The queue-wait histogram needs a pickup-relative clock;
                 # unstamped tickets (disabled hub) read 0.0 and are skipped.
                 submitted_at=(
                     time.perf_counter() if self._observability.enabled else 0.0
                 ),
                 deadline=deadline,
+                top_up=top_up,
                 # Stamped so cancel() can count itself without an engine ref.
                 _cancel_counter=self._c_cancelled,
             )
@@ -786,7 +802,7 @@ class PrivateQueryEngine:
                 # derive an independent child stream per flush (deterministic
                 # for seeded engines).  An explicit random_state bypasses the
                 # derivation so single-flush tests stay exactly reproducible.
-                rng = self._spawn_flush_rng()
+                (rng,) = spawn_children(self._rng, 1)
             else:
                 rng = ensure_rng(random_state)
         self._pipeline.run(tickets, rng)
@@ -828,11 +844,20 @@ class PrivateQueryEngine:
             partition=partition,
             deadline=deadline,
         )
+        self._flush_for(ticket, random_state, timeout)
+        return ticket.result()
+
+    def _flush_for(
+        self,
+        ticket: QueryTicket,
+        random_state: RandomState,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Flush, then wait until ``ticket`` resolved (see :meth:`ask`)."""
         self.flush(random_state=random_state)
         if not ticket.done():  # resolved by a concurrent flush that raced the queue
             if not ticket.wait(timeout):
                 raise AskTimeoutError(ticket, timeout)
-        return ticket.result()
 
     # ------------------------------------------------------------ consistency
     def consolidate(self, policy: Optional[PolicyGraph] = None) -> int:
@@ -861,13 +886,18 @@ class PrivateQueryEngine:
     ) -> np.ndarray:
         """Spend a little more on an already-cached workload, GLS-combining.
 
-        Buys one fresh measurement of ``workload`` at ``extra_epsilon`` (a
-        single unsharded mechanism invocation on the engine's execute
-        backend) and combines it with the cached measurement(s) by
-        generalised least squares under the honest noise models — the cached
-        answer gets sharper while the session is charged **exactly the
-        increment**, never the full re-buy price.  Replays of the workload
-        keep hitting the same cache key and serve the upgraded vector.
+        Buys one fresh measurement of ``workload`` at ``extra_epsilon`` and
+        combines it with the cached measurement(s) by generalised least
+        squares under the honest noise models — the cached answer gets
+        sharper while the session is charged **exactly the increment**,
+        never the full re-buy price.  Replays of the workload keep hitting
+        the same cache key and serve the upgraded vector.
+
+        The measurement is a ticket of the flush pipeline, flushed like
+        :meth:`ask` (other queued queries flush alongside it): it forms a
+        batch of its own — scattered over the policy's shards when the
+        policy is shardable — and draws from that batch's child of the
+        flush stream, on whichever backend the engine runs.
 
         ``epsilon`` names the ε the workload was originally asked at; omit
         it when only one cached entry exists for the (policy, workload)
@@ -916,99 +946,19 @@ class PrivateQueryEngine:
                     "at different epsilons); pass epsilon= to name the one to top up"
                 )
             entry = candidates[0]
-
-        # Plan before charging: a planning failure must charge nothing.
-        plan = self.plan_cache.plan_for(
+        ticket = self._enqueue(
+            client_id,
+            workload,
             resolved_policy,
-            float(extra_epsilon),
-            prefer_data_dependent=self._prefer_data_dependent,
-            consistency=self._consistency,
+            extra_epsilon,
+            top_up=(entry.key, entry.epsilon),
         )
-        with self._queue_lock:
-            session = self.session(client_id)
-            rng = (
-                self._spawn_flush_rng()
-                if random_state is None
-                else ensure_rng(random_state)
-            )
-        label = f"top-up:{client_id}:{entry.key[1][:12]}"
-        trace = self._observability.start_trace(
-            "top_up", client=client_id, label=label
-        )
-        try:
-            # Ambient attribution: the accountant's own charge/rollback
-            # events inherit these ids just like flush-path charges do.
-            with audit_context(
-                self._audit,
-                trace_id=trace.trace_id if trace is not None else None,
-                client_id=session.client_id,
-            ):
-                entry = self._run_top_up(
-                    session,
-                    entry,
-                    plan,
-                    workload,
-                    float(extra_epsilon),
-                    label,
-                    rng,
-                    trace,
-                )
-        finally:
-            if trace is not None:
-                trace.finish()
-        self._c_top_ups.inc()
-        return entry.answers.copy()
-
-    def _run_top_up(
-        self, session, entry, plan, workload, extra_epsilon, label, rng, trace
-    ):
-        """Charge, execute and absorb one top-up measurement (body of
-        :meth:`top_up`, factored so the trace/audit bracketing stays flat)."""
-        operation = session.charge(label, extra_epsilon, None)
-        group = ExecuteUnitGroup(
-            units=(
-                ExecuteUnit(
-                    plan=plan, workloads=[workload], database=self._database, rng=rng
-                ),
-            )
-        )
-        # The flush pipeline's dispatch loop and failure ladder, for one
-        # group of one unit.
-        span = nullcontext() if trace is None else trace.span("execute", label=label)
-        with span:
-            (done,) = execute_groups(self._execute_backend, [(None, group)])
-        outcome = done.outcomes[0]
-        if outcome[0] == "error":
-            # Nothing was released, so the increment must not stand.
-            session.accountant.rollback(operation)
-            raise MechanismError(
-                f"top_up execution failed (increment rolled back): {outcome[1]}"
-            )
-        _, vectors, model = outcome
-        model = checked_noise_model(model, workload.num_queries, "the top-up workload")
-        draw_id = self._next_draw_id()
-        measurement = Measurement(
-            answers=vectors[0],
-            epsilon=extra_epsilon,
-            draw_id=draw_id,
-            noise_stds=model.stds if model is not None else None,
-            noise_bases=(
-                {draw_id: model.basis}
-                if model is not None and model.basis is not None
-                else None
-            ),
-        )
-        entry = self.answer_cache.append_measurement(
-            entry.key, workload, measurement, key_epsilon=entry.epsilon
-        )
-        if self._audit is not None:
-            self._audit.emit(
-                "top_up",
-                label=label,
-                epsilon=extra_epsilon,
-                draws=len(entry.measurements),
-            )
-        return entry
+        self._flush_for(ticket, random_state)
+        if ticket.status == REFUSED and ticket.error.startswith(
+            (PLAN_FAILED, EXECUTE_FAILED)
+        ):
+            raise MechanismError(f"top_up failed: {ticket.error}")
+        return ticket.result().copy()
 
     # -------------------------------------------------------------- sharding
     def _shard_set_for(self, policy: PolicyGraph) -> Optional[ShardSet]:
@@ -1234,17 +1184,6 @@ class PrivateQueryEngine:
         backend = getattr(self, "_execute_backend", None)
         if backend is not None:  # None when __init__ failed before building it
             backend.close(wait=False)
-
-    def _spawn_flush_rng(self) -> np.random.Generator:
-        """Child generator for one flush (caller must hold the queue lock).
-
-        ``Generator.spawn`` needs numpy ≥ 1.25 and a seed sequence; fall back
-        to seeding from the parent's stream otherwise.
-        """
-        try:
-            return self._rng.spawn(1)[0]
-        except (AttributeError, TypeError, ValueError):
-            return np.random.default_rng(int(self._rng.integers(0, 2**63)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

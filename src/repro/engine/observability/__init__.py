@@ -4,10 +4,10 @@ Three coordinated facilities, bundled behind one :class:`Observability` hub
 that the engine owns:
 
 * :mod:`~repro.engine.observability.tracing` — one :class:`Trace` per flush
-  or top-up with a :class:`Span` per pipeline stage and per execute work
-  unit; process-backend spans are measured inside the worker and shipped
-  back with the answers, so a single flush yields one coherent tree that
-  crosses the process boundary.  Export as JSON or a rendered waterfall.
+  (a top-up is one) with a :class:`Span` per pipeline stage and per
+  execute work unit; process-backend spans are measured inside the worker
+  and shipped back with the answers, so a single flush yields one coherent
+  tree that crosses the process boundary.  Export as JSON or a rendered waterfall.
 * :mod:`~repro.engine.observability.metrics` — a thread-safe
   :class:`MetricsRegistry` of counters, gauges, and fixed-bucket histograms
   (p50/p95/p99) with Prometheus-text and JSON exporters.  ``EngineStats``
@@ -39,8 +39,7 @@ Each :class:`AuditLog` line is one JSON object.  Common fields:
     (ambient; present whenever tracing is enabled for the run).
 ``ticket_id`` / ``client_id``
     The query ticket and session owner, when the mutation is attributable
-    to one (charges/rollbacks/refusals during a flush; top-ups carry
-    ``client_id`` and a ``ticket`` label).
+    to one (charges/rollbacks/refusals/top-ups during a flush).
 
 Per-event fields:
 
@@ -61,8 +60,8 @@ Per-event fields:
     ``scope``, ``spent`` (ε consumed inside the scope), ``refunded``
     (unused reservation returned to the parent).
 ``top_up``
-    ``label``, ``epsilon`` (incremental ε spent), ``draws`` (total draws
-    after consolidation).
+    ``label`` (the charge's label), ``epsilon`` (incremental ε spent),
+    ``draws`` (measurements the cached entry holds after the top-up).
 """
 
 from __future__ import annotations

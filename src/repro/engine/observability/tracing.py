@@ -1,4 +1,4 @@
-"""Per-flush tracing: one :class:`Trace` per flush/top-up, spans per stage/unit.
+"""Per-flush tracing: one :class:`Trace` per flush, spans per stage/unit.
 
 A trace is the flight recorder of a single pipeline run: the
 :class:`~repro.engine.FlushPipeline` opens one per flush, adds one
@@ -75,7 +75,7 @@ class Span:
 
 
 class Trace:
-    """One flush/top-up's span tree; created via :meth:`Tracer.start_trace`."""
+    """One flush's span tree; created via :meth:`Tracer.start_trace`."""
 
     def __init__(
         self,

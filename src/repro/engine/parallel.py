@@ -37,21 +37,22 @@ process round trip byte-identically):
 :func:`execute_groups` is the one dispatch loop on top of both: it submits
 every group before awaiting any, and maps every failure — crashed pool,
 closed backend, unpicklable payload, failing kernel — onto per-member error
-outcomes.  The flush pipeline and ``engine.top_up`` both use it.
+outcomes.  The flush pipeline's execute stage is its one caller.
 
 Determinism: the backends never touch the noise stream — every unit carries
-the RNG the pipeline dealt it before dispatch, so where a unit runs, how it
-is grouped and whether its blobs missed never change its draws.  The
-pipeline has two derivations (see :meth:`FlushPipeline._execute_batches
-<repro.engine.pipeline.FlushPipeline._execute_batches>`), chosen by whether
-the engine's current backend is inline or pooled; ε ledgers never depend on
-the backend at all (charges happen before execution).
+the RNG the pipeline dealt it before dispatch, by the one derivation of
+:meth:`FlushPipeline._execute_batches
+<repro.engine.pipeline.FlushPipeline._execute_batches>`, so which backend
+runs a unit, how it is grouped and whether its blobs missed never change its
+draws; ε ledgers never depend on the backend at all (charges happen before
+execution).
 
-Worker processes default to the ``spawn`` start method: ``fork`` from an
-engine that already runs flusher/worker threads can clone held locks into
-the child.  Spawned workers import the library once (~0.5 s) and then
-persist across flushes; the pool itself is created lazily on first dispatch
-so its initializer can preload everything the backend has seen by then.
+Worker processes use the ``spawn`` start method (:data:`START_METHOD`):
+``fork`` from an engine that already runs flusher/worker threads can clone
+held locks into the child.  Spawned workers import the library once
+(~0.5 s) and then persist across flushes; the pool itself is created lazily
+on first dispatch so its initializer can preload everything the backend has
+seen by then.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ from .plan_cache import CachedPlan
 from .signature import PlanKey
 
 logger = logging.getLogger(__name__)
+
+#: ``multiprocessing`` start method of every worker pool (see above).
+START_METHOD = "spawn"
 
 __all__ = [
     "ExecuteUnit",
@@ -228,6 +232,9 @@ class InlineExecuteBackend:
     #: Telemetry of a backend that never dispatches.
     dispatches = 0
     serialization_seconds = 0.0
+    #: Unbounded: every unit already runs on the calling thread, so the
+    #: pipeline never fuses units for it.
+    fusion_slots = float("inf")
 
     def submit_group(self, group: ExecuteUnitGroup) -> _CompletedGroup:
         """Run ``group`` now; the handle is already resolved."""
@@ -306,11 +313,9 @@ def execute_groups(
 ) -> Iterator[GroupResult]:
     """Dispatch ``(tag, group)`` pairs on ``backend``; yield one result each.
 
-    The one dispatch loop of the execute stage, shared by the flush
-    pipeline and ``engine.top_up``.  Every group is submitted before any
-    result is awaited, so pooled groups overlap; ``groups`` is consumed
-    lazily, so an inline caller may build each batch's units only after the
-    previous batch ran.  Failures never raise: they come back as
+    The one dispatch loop of the flush pipeline's execute stage.  Every
+    group is submitted before any result is awaited, so pooled groups
+    overlap.  Failures never raise: they come back as
     ``("error", message)`` outcomes of the members they hit (see
     :func:`_submit` for the submit half; a handle whose ``result()`` raises
     fails all its members; a failing kernel fails its member alone), and
@@ -569,11 +574,7 @@ class ProcessExecuteBackend:
     Parameters
     ----------
     max_workers:
-        Worker-process count.
-    start_method:
-        ``multiprocessing`` start method.  The default ``"spawn"`` is safe in
-        the presence of engine/executor threads; ``"fork"`` starts faster on
-        POSIX but clones the parent's thread-held locks.
+        Worker-process count (started with :data:`START_METHOD`).
     preload:
         Objects every worker must hold resident from birth (the engine
         passes its database).  Pickled once here; respawned workers re-run
@@ -601,14 +602,13 @@ class ProcessExecuteBackend:
     def __init__(
         self,
         max_workers: int,
-        start_method: str = "spawn",
         preload: Sequence[object] = (),
         metrics: Optional[MetricsRegistry] = None,
         respawn_budget: int = 1,
         respawn_backoff: float = 0.5,
     ) -> None:
         self._max_workers = int(max_workers)
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(START_METHOD)
         if metrics is not None:
             self._h_bytes = metrics.histogram(
                 "engine_ipc_bytes_shipped",
@@ -1066,7 +1066,6 @@ class ProcessExecuteBackend:
 def create_execute_backend(
     backend: str,
     max_workers: Optional[int],
-    process_start_method: str = "spawn",
     preload: Sequence[object] = (),
     metrics: Optional[MetricsRegistry] = None,
 ):
@@ -1086,7 +1085,6 @@ def create_execute_backend(
         return INLINE_BACKEND
     return ProcessExecuteBackend(
         max_workers=int(max_workers),
-        start_method=process_start_method,
         preload=preload,
         metrics=metrics,
     )

@@ -21,15 +21,20 @@ mirroring the HTAP separation of transactional and analytical paths:
    groups to the engine's execute backend — inline on the flushing thread,
    or a **process pool** that runs mechanism kernels across cores
    (:mod:`repro.engine.parallel`).  Every unit draws from its own stream,
-   dealt before dispatch by one of two documented derivations (inline or
-   pooled, see :meth:`FlushPipeline._execute_batches`), so where a unit
-   runs and how it is grouped never change a seeded engine's draws.  A
+   dealt before dispatch by the one derivation of
+   :meth:`FlushPipeline._execute_batches`, so which backend runs a unit
+   and how units are grouped never change a seeded engine's draws.  A
    failure here rolls every charge of the batch back via
    :meth:`~repro.accounting.PrivacyAccountant.rollback` — nothing was
    released, so nothing may be billed.
 4. **resolve** — back under the (stats/cache) locks: ticket statuses, session
    counters, answer-cache writes tagged with the batch's draw id, and the
    per-stage timing accumulators.
+
+A **top-up** (:meth:`PrivateQueryEngine.top_up`) is a ticket like any other:
+it skips the replay and dedup of pickup (it must buy a fresh measurement),
+forms a batch of its own, is charged its increment, and resolves by
+GLS-appending the measurement to the cached entry it names.
 
 Concurrent flushes are linearised only where they must be: budget ledgers
 (accountant lock), cache maps (their own locks) and counters (stats lock).
@@ -51,6 +56,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from ..core.rng import spawn_children
 from ..core.workload import Workload
 from ..exceptions import (
     DeadlineExpiredError,
@@ -60,14 +66,9 @@ from ..exceptions import (
 )
 from ..mechanisms.base import NoiseModel
 from ..policy.graph import PolicyGraph
+from .answer_cache import Measurement
 from .durability.faults import fault_point
-from .parallel import (
-    INLINE_BACKEND,
-    ExecuteUnit,
-    ExecuteUnitGroup,
-    InlineExecuteBackend,
-    execute_groups,
-)
+from .parallel import INLINE_BACKEND, ExecuteUnit, ExecuteUnitGroup, execute_groups
 from .plan_cache import CachedPlan
 from .session import ClientSession
 from .sharding import ShardScatter, ShardSet
@@ -92,6 +93,13 @@ EXPIRED = "expired"
 
 #: The stages whose wall-clock is tracked by :class:`~repro.engine.EngineStats`.
 STAGES = ("plan", "charge", "execute", "resolve")
+
+#: Error prefixes of tickets whose release failed before or after charging
+#: (as opposed to a budget refusal).
+PLAN_FAILED = "Planning failed (nothing charged)"
+EXECUTE_FAILED = "Batch execution failed (charge rolled back)"
+
+AnswerKeyT = Tuple[str, str, str]
 
 
 def audit_context(audit, **ids):
@@ -175,12 +183,22 @@ class QueryTicket:
     #: pipeline drops tickets whose deadline passed *before* the charge
     #: stage, so an expired query spends zero ε.
     deadline: Optional[float] = None
+    #: Top-up tickets: the answer key and key ε of the cached entry the
+    #: fresh measurement joins.  ``None`` for asks.
+    top_up: Optional[Tuple[AnswerKeyT, float]] = None
     #: Engine counter bumped by :meth:`cancel` — stamped at submit so the
     #: ticket can count its own cancellation without holding an engine ref.
     _cancel_counter: Optional[object] = field(default=None, repr=False, compare=False)
     _lifecycle: TicketLifecycle = field(
         default_factory=TicketLifecycle, repr=False, compare=False
     )
+
+    @property
+    def label(self) -> str:
+        """The ledger label the ticket's charge is recorded under."""
+        if self.top_up is not None:
+            return f"top-up:{self.client_id}:{self.top_up[0][1][:12]}"
+        return f"query:{self.client_id}:{self.ticket_id}"
 
     def done(self) -> bool:
         """``True`` once the ticket reached a terminal status."""
@@ -256,9 +274,6 @@ class QueryTicket:
         raise MechanismError(
             f"Ticket {self.ticket_id} is still pending; call PrivateQueryEngine.flush()"
         )
-
-
-AnswerKeyT = Tuple[str, str, str]
 
 
 @dataclass
@@ -436,7 +451,7 @@ class FlushPipeline:
                 if ticket._claim():
                     self._resolve_expired(ticket, trace)
                 continue
-            if engine.answer_cache is not None:
+            if ticket.top_up is None and engine.answer_cache is not None:
                 # Dedup identical queries *within* this flush: one ticket
                 # pays, the rest replay its answer — the same zero-budget
                 # post-processing they would get one flush later.  The
@@ -522,6 +537,11 @@ class FlushPipeline:
                 engine._prefer_data_dependent,
                 engine._consistency,
             )
+            if ticket.top_up is not None:
+                # A top-up batches alone: next to a same-workload ask, two
+                # identical rows of one invocation would be paid twice and
+                # worth once.
+                key = (key, ticket.ticket_id)
             groups.setdefault(key, []).append(ticket)
         batches: List[PlannedBatch] = []
         for group in groups.values():
@@ -594,7 +614,7 @@ class FlushPipeline:
                 consistency=engine._consistency,
             )
         except Exception as exc:
-            batch.plan_error = f"Planning failed (nothing charged): {exc}"
+            batch.plan_error = f"{PLAN_FAILED}: {exc}"
         return batch
 
     def _plan_sharded(self, batch: PlannedBatch, shard_set: ShardSet) -> bool:
@@ -678,7 +698,7 @@ class FlushPipeline:
             # resolved as cancelled and must not be charged.
             return
         session = ticket.session
-        label = f"query:{ticket.client_id}:{ticket.ticket_id}"
+        label = ticket.label
         # Parallel composition only applies when the release is a function
         # of the declared partition alone.  On the unsharded path a
         # data-dependent mechanism (DAWA, consistency projections) reads
@@ -767,43 +787,28 @@ class FlushPipeline:
     ) -> None:
         """Stage 3: cut batches into units, dispatch them as groups, gather.
 
-        The engine's current backend picks one of two RNG derivations:
-
-        * **inline** (no pool, or a closed engine): batches are cut and run
-          one after another in batch order; an unsharded batch draws from
-          the flush stream itself, and a sharded batch spawns its per-shard
-          children from that stream when its turn comes;
-        * **pooled**: the flush stream spawns one child per batch up front,
-          and a sharded batch spawns its per-shard grandchildren from its
-          child.  Every unit is cut before any is dispatched, so compatible
-          units can share a dispatch (:meth:`_fuse`); a flush of a single
-          unit runs it on the flushing thread instead (the pool buys overlap
-          between units and one unit would only pay its dispatch cost).
-
-        Per-shard streams follow sorted shard order either way, and where a
-        unit runs or how it is grouped never changes its draws.
+        One RNG derivation serves every backend: the flush stream spawns
+        one child per runnable batch, an unsharded batch draws from its
+        child, and a sharded batch spawns its per-shard grandchildren from
+        its child in sorted shard order.  Every unit is cut (and dealt its
+        stream) before any is dispatched, so compatible units can share a
+        pooled dispatch (:meth:`_fuse`); a flush of a single unit runs it on
+        the flushing thread instead (the pool buys overlap between units and
+        one unit would only pay its dispatch cost).  Which backend runs a
+        unit, and how units are grouped, never changes its draws.
         """
         runnable = [batch for batch in batches if batch.admitted]
         if not runnable:
             return
+        members = [
+            member
+            for batch, child in zip(runnable, spawn_children(rng, len(runnable)))
+            for member in self._batch_members(batch, child)
+        ]
         backend = self._engine._execute_backend
-        if isinstance(backend, InlineExecuteBackend):
-            chunks = (
-                [member]
-                for batch in runnable
-                for member in self._batch_members(batch, rng)
-            )
-        else:
-            children = self._spawn_children(rng, len(runnable))
-            members = [
-                member
-                for batch, child in zip(runnable, children)
-                for member in self._batch_members(batch, child)
-            ]
-            if len(members) <= 1:
-                backend, chunks = INLINE_BACKEND, [[member] for member in members]
-            else:
-                chunks = self._fuse(backend, members)
+        if len(members) <= 1:
+            backend = INLINE_BACKEND
+        chunks = self._fuse(backend, members)
         results: Dict[
             int, List[Tuple[Optional[list], List[np.ndarray], Optional[NoiseModel]]]
         ] = {}
@@ -814,9 +819,7 @@ class FlushPipeline:
                 if batch.execute_error is not None:
                     continue
                 if outcome[0] == "error":
-                    batch.execute_error = (
-                        f"Batch execution failed (charge rolled back): {outcome[1]}"
-                    )
+                    batch.execute_error = f"{EXECUTE_FAILED}: {outcome[1]}"
                     continue
                 _, vectors, model = outcome
                 results.setdefault(id(batch), []).append((entries, vectors, model))
@@ -837,9 +840,7 @@ class FlushPipeline:
             try:
                 self._assemble_batch(batch, results.get(id(batch), []))
             except Exception as exc:
-                batch.execute_error = (
-                    f"Batch execution failed (charge rolled back): {exc}"
-                )
+                batch.execute_error = f"{EXECUTE_FAILED}: {exc}"
 
     def _groups(self, chunks):
         """``(members, group)`` pairs for :func:`execute_groups`, counting fusion."""
@@ -857,7 +858,7 @@ class FlushPipeline:
             units = self._units_for(batch, rng)
             return [(batch, unit, entries) for unit, entries in units]
         except Exception as exc:
-            batch.execute_error = f"Batch execution failed (charge rolled back): {exc}"
+            batch.execute_error = f"{EXECUTE_FAILED}: {exc}"
             return []
 
     def _fuse(
@@ -865,13 +866,13 @@ class FlushPipeline:
         backend,
         members: List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]],
     ) -> List[List[Tuple[PlannedBatch, ExecuteUnit, Optional[list]]]]:
-        """Cut a pooled flush's units into dispatch chunks.
+        """Cut a flush's units into dispatch chunks.
 
         Units share a dispatch only when the flush holds more units than
-        the backend has parallel slots (``fusion_slots``, the worker count)
-        — below that every unit already gets its own worker and grouping
-        would only *serialise* work that could run concurrently, so each
-        unit is a group of one.  Above it, units are grouped by
+        the backend has parallel slots (``fusion_slots``: the worker count,
+        unbounded inline) — below that every unit already gets its own
+        worker and grouping would only *serialise* work that could run
+        concurrently, so each unit is a group of one.  Above it, units are grouped by
         compatibility — same planner config string (ε, planning flags) and
         same ``want_noise`` — and each group is split into at most
         ``fusion_slots`` balanced contiguous chunks.  RNG children were
@@ -911,8 +912,8 @@ class FlushPipeline:
         Unsharded batches become one unit over the full database, executing
         on ``rng`` itself; sharded batches one unit per touched shard, each
         with its own child stream spawned from ``rng`` in sorted shard
-        order.  ``rng`` is the flush stream (inline) or the batch's child
-        (pooled) — see :meth:`_execute_batches`.  The second tuple element
+        order.  ``rng`` is the batch's child of the flush stream (see
+        :meth:`_execute_batches`).  The second tuple element
         carries the ``(ticket position, piece index)`` entries needed to
         gather shard results, ``None`` for unsharded units.
         """
@@ -940,7 +941,7 @@ class FlushPipeline:
                 )
         shard_order = sorted(jobs)
         batch.shard_indices = list(shard_order)
-        shard_rngs = self._spawn_children(rng, len(shard_order))
+        shard_rngs = spawn_children(rng, len(shard_order))
         units: List[Tuple[ExecuteUnit, Optional[list]]] = []
         for shard_index, shard_rng in zip(shard_order, shard_rngs):
             entries = jobs[shard_index]
@@ -968,7 +969,7 @@ class FlushPipeline:
         later rebuild the exact cross-entry covariance of the shared draw.
         """
         if not results:
-            batch.execute_error = "Batch execution produced no results"
+            batch.execute_error = f"{EXECUTE_FAILED}: no results"
             return
         if not batch.sharded:
             _, vectors, model = results[0]
@@ -1083,7 +1084,7 @@ class FlushPipeline:
             # Nothing was released, so the charges must not stand: roll back
             # every reservation of this batch and resolve its tickets instead
             # of stranding them (or the rest of the flush) behind the raise.
-            error = batch.execute_error or "Batch execution produced no results"
+            error = batch.execute_error or f"{EXECUTE_FAILED}: no results"
             trace_id = trace.trace_id if trace is not None else None
             # batch.charged is index-aligned with batch.admitted (both are
             # appended together at admission), so the zip attributes each
@@ -1137,6 +1138,7 @@ class FlushPipeline:
                     shard_draw_ids=mapping,
                     noise_stds=noise_stds,
                     noise_bases=noise_bases,
+                    trace=trace,
                 )
             return
         draw_id = engine._next_draw_id()
@@ -1149,7 +1151,12 @@ class FlushPipeline:
                 else None
             )
             self._resolve_answer(
-                ticket, vector, draw_id, noise_stds=noise_stds, noise_bases=noise_bases
+                ticket,
+                vector,
+                draw_id,
+                noise_stds=noise_stds,
+                noise_bases=noise_bases,
+                trace=trace,
             )
 
     # ------------------------------------------------------------ resolutions
@@ -1182,7 +1189,13 @@ class FlushPipeline:
         shard_draw_ids: Optional[Dict[int, int]] = None,
         noise_stds: Optional[np.ndarray] = None,
         noise_bases: Optional[Dict[int, sp.csr_matrix]] = None,
+        trace: Optional["Trace"] = None,
     ) -> None:
+        """Answer an executed ticket and cache its measurement.
+
+        An ask stores a new entry; a top-up GLS-appends the measurement to
+        the entry it names and answers with the combined vector.
+        """
         engine = self._engine
         ticket.answers = np.asarray(vector, dtype=np.float64)
         ticket.status = ANSWERED
@@ -1191,17 +1204,39 @@ class FlushPipeline:
         with ticket.session.accountant.lock:
             ticket.session.queries_answered += 1
         engine._c_answered.inc()
-        if engine.answer_cache is not None:
-            engine.answer_cache.store(
-                ticket.policy,
-                ticket.workload,
-                ticket.epsilon,
-                ticket.answers,
+        cache = engine.answer_cache
+        if cache is not None:
+            measurement = Measurement(
+                answers=ticket.answers.copy(),
+                epsilon=ticket.epsilon,
                 draw_id=draw_id,
-                shard_draw_ids=ticket.shard_draw_ids,
-                noise_stds=noise_stds,
-                noise_bases=noise_bases,
+                shard_draw_ids=dict(shard_draw_ids) if shard_draw_ids else None,
+                noise_stds=(
+                    np.array(noise_stds, dtype=np.float64)
+                    if noise_stds is not None
+                    else None
+                ),
+                noise_bases=dict(noise_bases) if noise_bases else None,
             )
+            if ticket.top_up is None:
+                cache.store(ticket.policy, ticket.workload, measurement)
+            else:
+                key, key_epsilon = ticket.top_up
+                entry = cache.append_measurement(
+                    key, ticket.workload, measurement, key_epsilon
+                )
+                ticket.answers = entry.answers.copy()
+                engine._c_top_ups.inc()
+                if engine._audit is not None:
+                    engine._audit.emit(
+                        "top_up",
+                        trace_id=trace.trace_id if trace is not None else None,
+                        ticket_id=ticket.ticket_id,
+                        client_id=ticket.client_id,
+                        label=ticket.label,
+                        epsilon=ticket.epsilon,
+                        draws=len(entry.measurements),
+                    )
         ticket._notify_resolved()
 
     def _resolve_expired(
@@ -1263,25 +1298,6 @@ class FlushPipeline:
         ticket._notify_resolved()
 
     # ----------------------------------------------------------------- helper
-    @staticmethod
-    def _spawn_children(
-        rng: np.random.Generator, count: int
-    ) -> List[np.random.Generator]:
-        """Derive ``count`` independent child generators from ``rng``.
-
-        ``Generator.spawn`` needs numpy ≥ 1.25 (AttributeError below that)
-        and a seed sequence (generators built from a bare bit-generator
-        state lack one), so fall back to seeding children from the parent's
-        stream.
-        """
-        try:
-            return list(rng.spawn(count))
-        except (AttributeError, TypeError, ValueError):
-            return [
-                np.random.default_rng(int(rng.integers(0, 2**63)))
-                for _ in range(count)
-            ]
-
     @staticmethod
     def _split_duplicates(batch: List[QueryTicket]) -> List[List[QueryTicket]]:
         """Partition a batch into rounds with no duplicate query per round."""

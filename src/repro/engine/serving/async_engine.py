@@ -23,7 +23,8 @@ This front-end serves the same engine from an event loop instead:
   are queued there FIFO and nothing awaits them: a flush wakes the loop
   only through the waiters of the tickets it resolves, and a failed one
   logs ``serving flush failed``.  The flush drives the *same* staged
-  pipeline with the same per-flush RNG child derivation, so a seeded
+  pipeline with the same RNG derivation (a child stream per flush, a
+  child of that per batch, on every execute backend), so a seeded
   engine's draws and ε ledgers through this front-end are byte-identical
   to a direct ``flush()`` issuing the same batches in the same order.
 

@@ -32,7 +32,6 @@ sub-policy's content signature, so identical components share one plan.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from ..core.database import Database
 from ..core.domain import Domain
-from ..core.workload import Workload
+from ..core.workload import Workload, WorkloadTransformCache
 from ..policy.graph import BOTTOM, PolicyGraph, is_bottom
 
 
@@ -133,28 +132,7 @@ class ShardSet:
         # the serving path re-submits equal workloads flush after flush —
         # memoise them by signature (None results included: re-deciding that
         # a spanning workload cannot scatter costs the same row scan).
-        self._scatter_cache: Dict[str, Optional[ShardScatter]] = {}
-        self._scatter_cache_maxsize = 256
-        self._scatter_lock = threading.Lock()
-
-    # -------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Pickle support: shards and scatter memos travel, the lock does not.
-
-        Shard databases are small and every shard artefact (sub-policy,
-        projected histogram) pickles, which is what the engine's
-        process-parallel execute backend relies on.
-        """
-        with self._scatter_lock:
-            scatter_cache = dict(self._scatter_cache)
-        state = self.__dict__.copy()
-        state["_scatter_cache"] = scatter_cache
-        del state["_scatter_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._scatter_lock = threading.Lock()
+        self._scatter_cache = WorkloadTransformCache(maxsize=256)
 
     # ------------------------------------------------------------- properties
     @property
@@ -244,16 +222,7 @@ class ShardSet:
         immutable: pieces are consumed read-only and :meth:`ShardScatter.gather`
         allocates fresh vectors), so re-served workloads skip the row scan.
         """
-        key = workload.signature()
-        with self._scatter_lock:
-            if key in self._scatter_cache:
-                return self._scatter_cache[key]
-        scatter = self._scatter_uncached(workload)
-        with self._scatter_lock:
-            if len(self._scatter_cache) >= self._scatter_cache_maxsize:
-                self._scatter_cache.clear()
-            self._scatter_cache[key] = scatter
-        return scatter
+        return self._scatter_cache.get_or_compute(workload, self._scatter_uncached)
 
     def _scatter_uncached(self, workload: Workload) -> Optional[ShardScatter]:
         groups = workload.rows_by_column_label(self._labels)

@@ -20,9 +20,8 @@ yet the same differentially private code must run on them (Theorems 4.1 and
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +36,6 @@ from ..core.workload import (
 from ..exceptions import MechanismError, PrivacyBudgetError
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -113,74 +110,6 @@ def basis_noise_model(basis: sp.spmatrix) -> NoiseModel:
     basis = sp.csr_matrix(basis)
     squared = np.asarray(basis.multiply(basis).sum(axis=1)).ravel()
     return NoiseModel(stds=np.sqrt(squared), basis=basis)
-
-
-class WorkloadTransformCache:
-    """A small signature-keyed memo for per-mechanism workload artefacts.
-
-    The serving engine caches planned mechanisms and invokes them from many
-    flush threads concurrently, so a mechanism's internal per-workload memo
-    (e.g. the transformed matrix ``W_G = W' P_G``) must be re-entrant.  This
-    helper guards lookups and inserts with a lock and always returns the
-    locally computed value, so a concurrent size-triggered ``clear`` can never
-    turn a fresh insert into a ``KeyError``.  The expensive ``compute`` runs
-    *outside* the lock: a racing thread may compute the same entry twice, and
-    the second insert simply wins — transforms are deterministic, so the
-    values are interchangeable.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be positive, got {maxsize}")
-        self._maxsize = int(maxsize)
-        self._entries: Dict[str, object] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get_or_compute(
-        self, workload: Workload, compute: Callable[[Workload], T]
-    ) -> T:
-        """Return the memoised artefact for ``workload``, computing on a miss.
-
-        Keys are content signatures: equal-but-distinct :class:`Workload`
-        objects (what a serving engine sees on every client request) share one
-        entry, and a recycled ``id()`` can never alias a stale matrix.
-        """
-        key = workload.signature()
-        with self._lock:
-            cached = self._entries.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        value = compute(workload)
-        with self._lock:
-            if len(self._entries) >= self._maxsize:
-                self._entries.clear()
-            self._entries[key] = value
-        return value
-
-    def clear(self) -> None:
-        """Drop every memoised artefact."""
-        with self._lock:
-            self._entries.clear()
-
-    # -------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Pickle support: ship the memoised artefacts, drop the lock.
-
-        Mechanisms travel to worker processes and to disk inside cached
-        plans.  The entries (transformed workload matrices) are deterministic
-        values worth keeping warm; the lock is recreated on the other side.
-        """
-        with self._lock:
-            entries = dict(self._entries)
-        return {"_maxsize": self._maxsize, "_entries": entries}
-
-    def __setstate__(self, state: dict) -> None:
-        self._maxsize = state["_maxsize"]
-        self._entries = dict(state["_entries"])
-        self._lock = threading.Lock()
 
 
 def check_epsilon(epsilon: float) -> float:

@@ -35,10 +35,14 @@ import scipy.sparse.linalg as spla
 
 from ..core.database import Database
 from ..core.sensitivity import unbounded_sensitivity
-from ..core.workload import Workload
+from ..core.workload import Workload, WorkloadTransformCache
 from ..exceptions import PolicyError, TransformError
 from .graph import BOTTOM, PolicyGraph, Vertex, is_bottom
 
+#: Bound of a transform's memo of transformed-workload store handles: the
+#: products are owned by whoever uses them, the transform only pins a
+#: working set.
+_WORKLOAD_HANDLES = 32
 
 def _factorisation_store():
     # Imported lazily: repro.engine imports repro.policy during its package
@@ -142,7 +146,7 @@ class PolicyTransform:
         self._gram_digest: Optional[str] = None
         self._transform_digest: Optional[str] = None
         self._gram_handle = None
-        self._workload_handles: Dict[str, object] = {}
+        self._workload_handles = WorkloadTransformCache(_WORKLOAD_HANDLES)
         self._gram_lock = threading.Lock()
         # Policy-only pieces built on first use and dropped when pickled:
         # the reduction matrix D and the per-component offset layout.
@@ -199,7 +203,7 @@ class PolicyTransform:
         """
         state = self.__dict__.copy()
         state["_gram_handle"] = None
-        state["_workload_handles"] = {}
+        state["_workload_handles"] = WorkloadTransformCache(_WORKLOAD_HANDLES)
         del state["_gram_lock"]
         del state["_reduction"]
         del state["_offset_layout"]
@@ -214,7 +218,7 @@ class PolicyTransform:
         self.__dict__.setdefault("_gram_digest", None)
         self.__dict__.setdefault("_transform_digest", None)
         self._gram_handle = None
-        self._workload_handles = {}
+        self._workload_handles = WorkloadTransformCache(_WORKLOAD_HANDLES)
         self._gram_lock = threading.Lock()
         self._reduction = None
         self._offset_layout = None
@@ -417,18 +421,14 @@ class PolicyTransform:
         worker process — share one sparse product per distinct
         (transform, workload) content.
         """
-        key = f"{self.transform_digest}:{workload.signature()}"
-        handle = self._workload_handles.get(key)
-        if handle is None:
-            handle = _factorisation_store().get_or_build(
-                "workload-gram", key, lambda: self._compute_transformed_workload(workload)
-            )
-            with self._gram_lock:
-                # Bounded like the mechanism-side memo: products are owned by
-                # whoever uses them, the transform only pins a working set.
-                if len(self._workload_handles) >= 32:
-                    self._workload_handles.clear()
-                self._workload_handles[key] = handle
+        handle = self._workload_handles.get_or_compute(
+            workload,
+            lambda w: _factorisation_store().get_or_build(
+                "workload-gram",
+                f"{self.transform_digest}:{w.signature()}",
+                lambda: self._compute_transformed_workload(w),
+            ),
+        )
         return handle.value
 
     def _compute_transformed_workload(self, workload: Workload) -> sp.csr_matrix:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ensure_rng, spawn_rngs
+from repro.core.rng import spawn_children
 
 
 class TestEnsureRng:
@@ -50,3 +51,22 @@ class TestSpawnRngs:
 
     def test_zero_count(self):
         assert spawn_rngs(0, 0) == []
+
+
+class TestSpawnChildren:
+    def test_spawns_seed_sequence_children(self):
+        children = spawn_children(np.random.default_rng(3), 2)
+        expected = np.random.default_rng(3).spawn(2)
+        for child, want in zip(children, expected):
+            assert child.random(4).tolist() == want.random(4).tolist()
+
+    def test_legacy_seeded_generator_seeds_children_from_its_stream(self):
+        def legacy(seed):
+            bit_generator = np.random.MT19937()
+            bit_generator._legacy_seeding(seed)
+            return np.random.Generator(bit_generator)
+
+        first = [child.random(4).tolist() for child in spawn_children(legacy(5), 3)]
+        second = [child.random(4).tolist() for child in spawn_children(legacy(5), 3)]
+        assert first == second
+        assert len({tuple(draws) for draws in first}) == 3

@@ -15,7 +15,7 @@ from repro.core import (
     total_workload,
     workload_from_rows,
 )
-from repro.core.workload import Workload
+from repro.core.workload import Workload, WorkloadTransformCache
 from repro.exceptions import WorkloadError
 
 
@@ -148,3 +148,36 @@ class TestSensitivities:
 
     def test_total_sensitivity_is_one(self, line_domain_16):
         assert total_workload(line_domain_16).l1_sensitivity() == 1.0
+
+
+class TestWorkloadTransformCache:
+    def test_a_full_memo_evicts_only_its_least_recent_entry(self):
+        """Cycling bound+1 distinct workloads through the memo recomputes
+        only the one evicted entry."""
+        domain = Domain((8,))
+        bound = 4
+        cache = WorkloadTransformCache(maxsize=bound)
+        computes = []
+
+        def compute(workload):
+            computes.append(workload.signature())
+            return workload.num_queries
+
+        workloads = [
+            Workload(domain, np.eye(8)[: rows + 1]) for rows in range(bound + 1)
+        ]
+        for workload in workloads:
+            cache.get_or_compute(workload, compute)
+        assert len(cache) == bound and len(computes) == bound + 1
+        # workloads[0] was evicted; the other ``bound`` entries all hit.
+        for workload in workloads[1:] + workloads[:1]:
+            assert cache.get_or_compute(workload, compute) == workload.num_queries
+        assert computes[bound + 1 :] == [workloads[0].signature()]
+
+    def test_none_is_memoised(self):
+        cache = WorkloadTransformCache(maxsize=2)
+        workload = identity_workload(Domain((4,)))
+        calls = []
+        for _ in range(3):
+            assert cache.get_or_compute(workload, lambda w: calls.append(w)) is None
+        assert len(calls) == 1

@@ -15,7 +15,7 @@ from repro.core import (
     total_workload,
 )
 from repro.core.workload import Workload
-from repro.engine import PrivateQueryEngine, stack_measurements
+from repro.engine import Measurement, PrivateQueryEngine, stack_measurements
 from repro.engine.signature import policy_signature
 from repro.policy import PolicyGraph, line_policy
 from repro.postprocess import weighted_least_squares_estimate
@@ -409,9 +409,7 @@ class TestWriteBackRace:
                 raced["entry"] = cache.store(
                     policy,
                     identity_workload(domain),
-                    1.0,
-                    np.zeros(32),
-                    draw_id=999,
+                    Measurement(np.zeros(32), 1.0, draw_id=999),
                 )
             return original_stack(stack)
 
@@ -444,8 +442,12 @@ class TestWriteBackRace:
             if not evicted:
                 evicted["done"] = True
                 # Two stores into a 3-slot cache evict the oldest entry.
-                cache.store(policy, total_workload(domain), 1.0, np.ones(1))
-                cache.store(policy, total_workload(domain), 2.0, np.ones(1))
+                cache.store(
+                    policy, total_workload(domain), Measurement(np.ones(1), 1.0)
+                )
+                cache.store(
+                    policy, total_workload(domain), Measurement(np.ones(1), 2.0)
+                )
             return original_stack(stack)
 
         answer_cache_module.stack_measurements = evicting_stack

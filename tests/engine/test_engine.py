@@ -615,3 +615,41 @@ class TestValidation:
         engine.open_session("alice", 0.5)
         with pytest.raises(PolicyError):
             engine.submit("alice", identity_workload(domain), epsilon=0.1)
+
+
+class TestLegacySeededGenerator:
+    """A Generator over a legacy-seeded ``MT19937`` cannot ``spawn``; the
+    engine seeds its flush streams from the generator's own stream instead."""
+
+    @staticmethod
+    def legacy_generator(seed: int) -> np.random.Generator:
+        bit_generator = np.random.MT19937()
+        bit_generator._legacy_seeding(seed)
+        return np.random.Generator(bit_generator)
+
+    def serve(self, database, domain, seed: int):
+        engine = PrivateQueryEngine(
+            database,
+            total_epsilon=10.0,
+            default_policy=line_policy(domain),
+            enable_answer_cache=False,
+            random_state=self.legacy_generator(seed),
+        )
+        engine.open_session("alice", 5.0)
+        engine.submit("alice", identity_workload(domain), epsilon=0.5)
+        engine.submit("alice", cumulative_workload(domain), epsilon=0.25)
+        tickets = engine.flush()
+        assert [t.status for t in tickets] == ["answered"] * 2
+        return [t.answers for t in tickets]
+
+    def test_flushes_and_draws_the_same_answers_from_the_same_seed(
+        self, database, domain
+    ):
+        with pytest.raises(TypeError):
+            self.legacy_generator(7).spawn(1)
+        first = self.serve(database, domain, 7)
+        second = self.serve(database, domain, 7)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+        other = self.serve(database, domain, 8)
+        assert not np.array_equal(first[0], other[0])

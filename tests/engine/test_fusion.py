@@ -153,12 +153,14 @@ class TestFusedDeterminism:
         self, runs, domain, database, segmented_policy
     ):
         # Units run alone, in process, under the pooled derivation are the
-        # reference; the fused process run must draw byte-identical noise.
+        # reference; the fused process run and the inline run must draw
+        # byte-identical noise.
         reference = pooled_oracle(domain, database, segmented_policy)
-        fused = runs["process-fused"]["answers"]
-        assert len(fused) == len(reference)
-        for expected, got in zip(reference, fused):
-            np.testing.assert_array_equal(expected, got)
+        for name in ("process-fused", "inline"):
+            answers = runs[name]["answers"]
+            assert len(answers) == len(reference)
+            for expected, got in zip(reference, answers):
+                np.testing.assert_array_equal(expected, got)
 
     def test_ledgers_are_backend_and_fusion_independent(self, runs):
         assert runs["process-fused"]["ledger"] == runs["inline"]["ledger"]
@@ -179,7 +181,7 @@ class TestFusedDeterminism:
         self, runs, domain, database, segmented_policy
     ):
         # The store is a performance artifact: with it disabled, both the
-        # pooled and the inline derivation draw and charge exactly as before.
+        # pooled and the inline engine draw and charge exactly as before.
         previous = set_store_enabled(False)
         try:
             pooled = serve(domain, database, segmented_policy, "process", 2)

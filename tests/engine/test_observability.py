@@ -379,7 +379,9 @@ class TestFlushTraces:
         assert not trace.find("execute")
         assert json.loads(trace.to_json())["attributes"]["replays"] == 1
 
-    def test_top_up_gets_its_own_trace(self, database, domain):
+    def test_top_up_rides_the_flush_trace(self, database, domain):
+        """A top-up is a flush: its charge and its ``top_up`` event both
+        name that flush's trace."""
         obs = Observability(enabled=True, audit=AuditLog())
         engine = make_engine(
             database, domain, observability=obs, enable_answer_cache=True
@@ -388,12 +390,17 @@ class TestFlushTraces:
         engine.ask("alice", identity_workload(domain), epsilon=0.5)
         engine.top_up("alice", identity_workload(domain), 0.25)
         trace = obs.tracer.last()
-        assert trace.name == "top_up"
+        assert trace.name == "flush"
         assert trace.find("execute")
         (event,) = obs.audit.events("top_up")
         assert event["trace_id"] == trace.trace_id
+        assert event["client_id"] == "alice"
+        assert event["label"].startswith("top-up:alice:")
         assert event["epsilon"] == pytest.approx(0.25)
         assert event["draws"] == 2
+        charge = obs.audit.events("charge")[-1]
+        assert charge["trace_id"] == trace.trace_id
+        assert charge["label"] == event["label"]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +676,8 @@ class TestDegradationLogging:
                 "alice", identity_workload(domain), extra_epsilon=0.25
             )
         assert upgraded.shape == (16,)
-        assert len(self.proxy_fallbacks(caplog, "top-up workload")) == 1
+        # The top-up is a batch of its own, checked like any batch.
+        assert len(self.proxy_fallbacks(caplog, "the batch")) == 1
         (entry,) = engine.answer_cache._entries.values()
         assert entry.measurements[0].noise_stds is not None
         assert entry.measurements[1].noise_stds is None

@@ -135,29 +135,25 @@ def spawn(rng: np.random.Generator, count: int):
     return list(rng.spawn(count))
 
 
-def oracle_answers(domain, database, split_policy, rng, pooled: bool):
+def oracle_answers(domain, database, split_policy, rng):
     """Recompute :data:`STREAM`'s answers in this process with ``run_unit``.
 
-    The two documented derivations, applied by hand.  *Inline*: each
-    unsharded batch draws from the flush stream itself, in batch order, and
-    a sharded batch spawns its per-shard children from that same stream when
-    its turn comes.  *Pooled*: the flush stream spawns one child per batch,
-    an unsharded batch draws from its child, and a sharded batch spawns its
-    per-shard grandchildren from its child.  Per-shard streams follow sorted
-    shard order either way.
+    The documented derivation, applied by hand: the flush stream spawns one
+    child per batch, an unsharded batch draws from its child, and a sharded
+    batch spawns its per-shard grandchildren from its child in sorted shard
+    order.
     """
     line = line_policy(domain)
     plans = PlanCache()
     unsharded = [entry for entry in STREAM if not entry[2]]
     sharded = [entry for entry in STREAM if entry[2]]
-    batch_rngs = spawn(rng, len(unsharded) + 1) if pooled else None
+    batch_rngs = spawn(rng, len(unsharded) + 1)
     answers = []
     for index, (build, epsilon, _) in enumerate(unsharded):
         plan = plans.plan_for(
             line, epsilon, prefer_data_dependent=False, consistency=False
         )
-        unit_rng = batch_rngs[index] if pooled else rng
-        vectors, _ = run_unit(plan, [build(domain)], database, unit_rng, False)
+        vectors, _ = run_unit(plan, [build(domain)], database, batch_rngs[index], False)
         answers.append(vectors[0])
     # The sharded batch: one unit per touched shard, workloads stacked in
     # ticket order, then gathered back per ticket.
@@ -170,7 +166,7 @@ def oracle_answers(domain, database, split_policy, rng, pooled: bool):
             jobs.setdefault(piece.shard.index, []).append(
                 (position, piece_index, piece)
             )
-    shard_rngs = spawn(batch_rngs[-1] if pooled else rng, len(jobs))
+    shard_rngs = spawn(batch_rngs[-1], len(jobs))
     pieces = {}
     for shard_index, shard_rng in zip(sorted(jobs), shard_rngs):
         entries = jobs[shard_index]
@@ -207,21 +203,21 @@ def process_run(domain, database, split_policy):
 
 
 class TestDerivationOracle:
-    """Both RNG derivations, pinned against an in-process recomputation."""
+    """The one RNG derivation, pinned against an in-process recomputation
+    on every backend: inline, pooled, and pooled after close."""
 
-    def assert_matches_oracle(self, answers, domain, database, split_policy, rng, pooled):
-        expected = oracle_answers(domain, database, split_policy, rng, pooled)
+    def assert_matches_oracle(self, answers, domain, database, split_policy, rng):
+        expected = oracle_answers(domain, database, split_policy, rng)
         assert len(answers) == len(expected) == len(STREAM)
         for got, want in zip(answers, expected):
             np.testing.assert_array_equal(got, want)
 
-    def test_inline_engine_draws_the_inline_derivation(
+    def test_inline_engine_draws_the_one_derivation(
         self, inline_run, domain, database, split_policy
     ):
         assert inline_run["stats"].execute_backend == "inline"
         self.assert_matches_oracle(
-            inline_run["answers"], domain, database, split_policy,
-            flush_stream(0), pooled=False,
+            inline_run["answers"], domain, database, split_policy, flush_stream(0)
         )
 
     def test_process_engine_draws_the_pooled_derivation(
@@ -229,11 +225,10 @@ class TestDerivationOracle:
     ):
         assert process_run["stats"].execute_backend == "process"
         self.assert_matches_oracle(
-            process_run["answers"], domain, database, split_policy,
-            flush_stream(0), pooled=True,
+            process_run["answers"], domain, database, split_policy, flush_stream(0)
         )
 
-    def test_closed_pooled_engine_falls_back_to_the_inline_derivation(
+    def test_closed_pooled_engine_keeps_the_one_derivation(
         self, domain, database, split_policy
     ):
         run = serve_stream(domain, database, split_policy, "process")
@@ -243,7 +238,7 @@ class TestDerivationOracle:
         assert [t.status for t in tickets] == ["answered"] * len(STREAM)
         self.assert_matches_oracle(
             [t.answers for t in tickets], domain, database, split_policy,
-            flush_stream(1), pooled=False,
+            flush_stream(1),
         )
 
 
@@ -323,15 +318,18 @@ class TestBackendSelection:
 
 
 class TestInlineVsProcessRuns:
-    """The same stream served inline and on a process pool.
-
-    Their draws follow different derivations (pinned separately by
-    :class:`TestDerivationOracle`); everything else must agree.
-    """
+    """The same stream served inline and on a process pool: the same
+    answers, the same ledgers, different (observable) costs."""
 
     def test_every_ticket_answers_on_both_backends(self, inline_run, process_run):
         assert inline_run["statuses"] == ["answered"] * 5
         assert process_run["statuses"] == ["answered"] * 5
+
+    def test_answers_are_byte_identical(self, inline_run, process_run):
+        """One seed, a mixed sharded/unsharded stream, no stream workaround:
+        an inline engine and a ×2 process pool draw the same bytes."""
+        for inline, pooled in zip(inline_run["answers"], process_run["answers"]):
+            assert inline.tobytes() == pooled.tobytes()
 
     def test_epsilon_ledgers_are_byte_identical(self, inline_run, process_run):
         assert inline_run["ledger"] == process_run["ledger"]

@@ -3,7 +3,7 @@
 A shard's induced sub-policy is keyed by its content signature, so
 identical components map to one cached plan.  The oracle here replans every
 shard afresh and runs each unit alone with ``run_unit``; the engine's
-shard units must match it byte for byte on both RNG derivations.
+shard units must match it byte for byte, inline and pooled.
 """
 
 from __future__ import annotations
@@ -77,16 +77,14 @@ def serve(domain, database, policy, backend, workers):
         return [np.asarray(t.answers) for t in tickets], engine.stats
 
 
-def oracle_units(domain, database, policy, pooled):
+def oracle_units(domain, database, policy):
     """Each shard unit recomputed alone, with a plan built for that shard.
 
     Returns ``{shard index: (pieces, vectors)}`` in ticket order.  The
-    flush stream is the engine's first; *inline* spawns per-shard children
-    from it directly, *pooled* from the batch's one child.
+    flush stream is the engine's first, and per-shard children are spawned
+    from the batch's one child of it, on every backend.
     """
-    rng = np.random.default_rng(SEED).spawn(1)[0]
-    if pooled:
-        rng = rng.spawn(1)[0]
+    rng = np.random.default_rng(SEED).spawn(1)[0].spawn(1)[0]
     shard_set = ShardSet.build(policy, database)
     scatters = [shard_set.scatter(workload) for workload in workloads(domain)]
     shard_rngs = rng.spawn(len(shard_set))
@@ -107,12 +105,12 @@ def oracle_units(domain, database, policy, pooled):
 
 
 @pytest.mark.parametrize(
-    "backend, workers, pooled",
-    [("inline", None, False), ("process", 2, True)],
+    "backend, workers",
+    [("inline", None), ("process", 2)],
     ids=["inline", "process-x2"],
 )
 def test_shared_shard_plan_matches_freshly_planned_units(
-    domain, database, segmented_policy, backend, workers, pooled
+    domain, database, segmented_policy, backend, workers
 ):
     answers, stats = serve(domain, database, segmented_policy, backend, workers)
     assert stats.sharded_batches == 1
@@ -120,7 +118,7 @@ def test_shared_shard_plan_matches_freshly_planned_units(
     # lookup per remaining touched shard.
     assert stats.plan_misses == 1
     assert stats.plan_hits == 3
-    units = oracle_units(domain, database, segmented_policy, pooled)
+    units = oracle_units(domain, database, segmented_policy)
     assert len(units) == 4
     for pieces, vectors in units.values():
         for ticket, (piece, vector) in enumerate(zip(pieces, vectors)):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import Database, Domain, cumulative_workload, identity_workload
-from repro.engine import PrivateQueryEngine
+from repro.engine import Measurement, PrivateQueryEngine
+from repro.engine.parallel import run_unit
 from repro.exceptions import MechanismError, PrivacyBudgetError
 from repro.policy import line_policy
 
@@ -45,6 +46,19 @@ class TestTopUpLedger:
         (entry,) = engine.answer_cache._entries.values()
         assert len(entry.measurements) == 2
         assert entry.total_epsilon == pytest.approx(1.25)
+
+    def test_top_ups_never_renumber_ask_labels(self, database, domain):
+        """Ask ledger labels carry ticket ids; top-up tickets are numbered
+        apart, so a ledger reads the same with or without top-ups between
+        its asks."""
+        engine = make_engine(database, domain)
+        session = engine.open_session("a", 100.0)
+        engine.ask("a", identity_workload(domain), 1.0)
+        engine.top_up("a", identity_workload(domain), extra_epsilon=0.25)
+        engine.ask("a", cumulative_workload(domain), 1.0)
+        labels = [op.label for op in session.accountant.operations]
+        assert labels[0] == "query:a:1" and labels[2] == "query:a:2"
+        assert labels[1].startswith("top-up:a:")
 
     @pytest.mark.parametrize("extra", [0.1, 0.2, 0.4, 0.8])
     def test_charges_each_increment_to_within_1e9(self, database, domain, extra):
@@ -195,15 +209,11 @@ class TestTopUpAccuracy:
 
 
 class TestTopUpBackendParity:
-    """The increment and the noise metadata are backend-independent.
+    """Draws, increments and noise metadata are backend-independent.
 
-    Inline and process engines draw their flushes from different
-    (documented) derivations: a pooled engine's lone batch draws from the
-    flush stream's first child, an inline engine's from the flush stream
-    itself.  Handing the inline engine that child as its flush stream makes
-    the two byte-for-byte comparable.  The top-up measurement itself
-    bypasses batching, so its raw vector and metadata must match on every
-    backend regardless.
+    Every flush — a top-up's included — deals each batch a child of the
+    flush stream, on every backend, so inline and process engines seeded
+    alike are byte-for-byte comparable with no stream workaround.
     """
 
     def test_full_parity_between_inline_and_process(self, database, domain):
@@ -216,14 +226,9 @@ class TestTopUpBackendParity:
                 execute_workers=2,
                 execute_backend=backend,
             )
-            ask_stream = (
-                np.random.default_rng(41).spawn(1)[0] if backend == "inline" else 41
-            )
             try:
                 session = engine.open_session("a", 100.0)
-                engine.ask(
-                    "a", identity_workload(domain), 1.0, random_state=ask_stream
-                )
+                engine.ask("a", identity_workload(domain), 1.0, random_state=41)
                 upgraded = engine.top_up(
                     "a",
                     identity_workload(domain),
@@ -250,8 +255,9 @@ class TestTopUpBackendParity:
         np.testing.assert_array_equal(process["basis"], inline["basis"])
 
     def test_top_up_runs_through_the_process_backend(self, database, domain):
-        """top_up's unit is one dispatch to the pool, and the combined
-        answer comes back."""
+        """A top-up is a flush like any other: alone, its one unit runs on
+        the flushing thread; flushed with queued work, it is dispatched to
+        the pool beside it."""
         with make_engine(
             database, domain, execute_workers=2, execute_backend="process"
         ) as engine:
@@ -260,8 +266,14 @@ class TestTopUpBackendParity:
             before = engine.stats.worker_dispatches
             upgraded = engine.top_up("erin", identity_workload(domain), 0.25)
             assert upgraded.shape == (24,)
-            assert engine.stats.worker_dispatches == before + 1
+            assert engine.stats.worker_dispatches == before
             assert engine.stats.top_ups == 1
+            queued = engine.submit("erin", cumulative_workload(domain), epsilon=0.5)
+            engine.top_up("erin", identity_workload(domain), 0.25)
+            assert queued.status == "answered"
+            # Two batches, two units, one dispatch each.
+            assert engine.stats.worker_dispatches == before + 2
+            assert engine.stats.top_ups == 2
 
     @pytest.mark.parametrize("backend", ["process"])
     def test_top_up_measurement_matches_inline(self, database, domain, backend):
@@ -305,6 +317,54 @@ class TestTopUpBackendParity:
         np.testing.assert_array_equal(pooled["basis"], inline["basis"])
 
 
+class TestTopUpDerivation:
+    def test_measurement_draws_the_flush_streams_first_child(self, database, domain):
+        """A top-up is the one batch of its flush, so its unit draws from
+        that flush stream's first child."""
+        engine = make_engine(database, domain, seed=5)
+        engine.open_session("a", 100.0)
+        engine.ask("a", identity_workload(domain), 1.0)  # flush 0
+        engine.top_up("a", identity_workload(domain), extra_epsilon=0.5)  # flush 1
+        (entry,) = engine.answer_cache._entries.values()
+        flush_stream = np.random.default_rng(5).spawn(2)[1]
+        plan = engine.plan_cache.plan_for(
+            line_policy(domain), 0.5, prefer_data_dependent=False, consistency=False
+        )
+        (expected,), _ = run_unit(
+            plan, [identity_workload(domain)], database, flush_stream.spawn(1)[0]
+        )
+        assert entry.measurements[1].answers.tobytes() == expected.tobytes()
+
+    def test_two_top_ups_in_one_flush_each_buy_a_measurement(
+        self, database, domain
+    ):
+        """Same-workload top-ups never share an invocation: each is its own
+        batch, its own draw and its own charge."""
+        engine = make_engine(database, domain)
+        session = engine.open_session("a", 100.0)
+        engine.ask("a", identity_workload(domain), 1.0)
+        (entry,) = engine.answer_cache._entries.values()
+        tickets = [
+            engine._enqueue(
+                "a",
+                identity_workload(domain),
+                line_policy(domain),
+                0.25,
+                top_up=(entry.key, entry.epsilon),
+            )
+            for _ in range(2)
+        ]
+        engine.flush()
+        assert [t.status for t in tickets] == ["answered"] * 2
+        assert session.spent() == pytest.approx(1.5)
+        assert engine.stats.top_ups == 2
+        first, second = entry.measurements[1:]
+        assert first.draw_id != second.draw_id
+        assert not np.array_equal(first.answers, second.answers)
+        labels = [op.label for op in session.accountant.operations]
+        assert labels[1:] == [f"top-up:a:{entry.key[1][:12]}"] * 2
+
+
 class TestTopUpEvictionRace:
     def test_evicted_entry_reinsert_respects_bound_and_key_epsilon(
         self, database, domain, monkeypatch
@@ -327,8 +387,12 @@ class TestTopUpEvictionRace:
                 raced["done"] = True
                 # Fill the 2-slot cache so the identity entry is evicted
                 # while the top-up's mechanism invocation is in flight.
-                cache.store(policy, cumulative_workload(domain), 1.0, np.ones(24))
-                cache.store(policy, cumulative_workload(domain), 2.0, np.ones(24))
+                cache.store(
+                    policy, cumulative_workload(domain), Measurement(np.ones(24), 1.0)
+                )
+                cache.store(
+                    policy, cumulative_workload(domain), Measurement(np.ones(24), 2.0)
+                )
             return original_run_unit(*args, **kwargs)
 
         monkeypatch.setattr(parallel_module, "run_unit", evicting_run_unit)
