@@ -82,15 +82,11 @@ class NamedAlgorithm:
     def noise_model(self, workload: Workload):
         """The wrapped mechanism's honest noise profile, or ``None``.
 
-        ``None`` covers mechanisms predating the metadata API and any
-        failure computing the model — metadata is advisory, so it must
-        never turn a valid release into a refusal.
+        ``None`` also covers any failure computing the model — metadata is
+        advisory, so it must never turn a valid release into a refusal.
         """
-        hook = getattr(self.mechanism, "noise_model", None)
-        if hook is None:
-            return None
         try:
-            return hook(workload)
+            return self.mechanism.noise_model(workload)
         except Exception:
             return None
 
@@ -101,10 +97,9 @@ class NamedAlgorithm:
         random_state: RandomState = None,
     ):
         """:meth:`answer_batch` plus the invocation's noise metadata."""
-        hook = getattr(self.mechanism, "answer_batch_with_noise", None)
-        if hook is None:
-            return self.answer_batch(workloads, database, random_state), None
-        return hook(workloads, database, random_state)
+        return self.mechanism.answer_batch_with_noise(
+            workloads, database, random_state
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -439,63 +440,75 @@ T = TypeVar("T")
 _MISSING = object()
 
 
-class WorkloadTransformCache:
-    """A small, bounded, signature-keyed memo for per-workload artefacts.
+class LRUMemo:
+    """A small, bounded, lock-guarded LRU memo keyed by any hashable value.
 
-    The serving engine caches planned mechanisms and invokes them from many
-    flush threads concurrently, so a per-workload memo (e.g. a mechanism's
-    transformed matrix ``W_G = W' P_G``, or a shard set's scatter decision)
-    must be re-entrant.  Lookups and inserts take a lock; the expensive
-    ``compute`` runs *outside* it: a racing thread may compute the same
-    entry twice, and the second insert simply wins — the artefacts are
-    deterministic, so the values are interchangeable.  Past ``maxsize`` an
-    insert evicts the least recently used entry, and only that one.
+    Lookups and inserts take a lock; :meth:`get_or_compute` runs the
+    expensive ``compute`` *outside* it, so a racing thread may compute the
+    same entry twice.  The value published first is kept and returned to
+    both — memoised values must be deterministic functions of their key, so
+    the duplicate is redundant, not wrong.  Past ``maxsize`` an insert
+    evicts the least recently used entry, and only that one.  A ``None``
+    value is memoised like any other.
     """
 
     def __init__(self, maxsize: int = 8) -> None:
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self._maxsize = int(maxsize)
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get_or_compute(self, workload: Workload, compute: Callable[[Workload], T]) -> T:
-        """Return the memoised artefact for ``workload``, computing on a miss.
-
-        Keys are content signatures: equal-but-distinct :class:`Workload`
-        objects (what a serving engine sees on every client request) share one
-        entry, and a recycled ``id()`` can never alias a stale matrix.  A
-        ``None`` artefact is memoised like any other.
-        """
-        key = workload.signature()
+    def get(self, key: Hashable, default=None):
+        """The value under ``key`` (marked most recent), else ``default``."""
         with self._lock:
-            cached = self._entries.get(key, _MISSING)
-            if cached is not _MISSING:
-                self._entries.move_to_end(key)
-                return cached  # type: ignore[return-value]
-        value = compute(workload)
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                return default
+            self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert (or replace) ``value`` as the most recent entry."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             if len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[Hashable], T]) -> T:
+        """The value under ``key``, computing ``compute(key)`` on a miss."""
+        value = self.get(key, _MISSING)
+        if value is not _MISSING:
+            return value  # type: ignore[return-value]
+        value = compute(key)
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
         return value
 
+    def values(self) -> List[object]:
+        """A snapshot of the memoised values, least recent first."""
+        with self._lock:
+            return list(self._entries.values())
+
     def clear(self) -> None:
-        """Drop every memoised artefact."""
+        """Drop every memoised value."""
         with self._lock:
             self._entries.clear()
 
     # -------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        """Pickle support: ship the memoised artefacts, drop the lock.
+        """Pickle support: ship the memoised values, drop the lock.
 
         Mechanisms travel to worker processes and to disk inside cached
-        plans.  The entries (transformed workload matrices) are deterministic
-        values worth keeping warm; the lock is recreated on the other side.
+        plans.  Their memos hold deterministic values worth keeping warm;
+        the lock is recreated on the other side.
         """
         with self._lock:
             entries = dict(self._entries)
@@ -505,3 +518,22 @@ class WorkloadTransformCache:
         self._maxsize = state["_maxsize"]
         self._entries = OrderedDict(state["_entries"])
         self._lock = threading.Lock()
+
+
+class WorkloadTransformCache(LRUMemo):
+    """An :class:`LRUMemo` of per-workload artefacts, keyed by workload signature.
+
+    The serving engine caches planned mechanisms and invokes them from many
+    flush threads concurrently, so a per-workload memo (e.g. a mechanism's
+    transformed matrix ``W_G = W' P_G``, or a shard set's scatter decision)
+    must be re-entrant — which the base memo is.
+    """
+
+    def get_or_compute(self, workload: Workload, compute: Callable[[Workload], T]) -> T:
+        """Return the memoised artefact for ``workload``, computing on a miss.
+
+        Keys are content signatures: equal-but-distinct :class:`Workload`
+        objects (what a serving engine sees on every client request) share one
+        entry, and a recycled ``id()`` can never alias a stale matrix.
+        """
+        return super().get_or_compute(workload.signature(), lambda _: compute(workload))

@@ -60,7 +60,6 @@ import logging
 import math
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +68,7 @@ import numpy as np
 from ..accounting.composition import PrivacyAccountant
 from ..core.database import Database
 from ..core.rng import RandomState, ensure_rng, spawn_children
-from ..core.workload import Workload
+from ..core.workload import LRUMemo, Workload
 from ..exceptions import (
     AskTimeoutError,
     DurabilityError,
@@ -88,10 +87,8 @@ from .parallel import INLINE_BACKEND, create_execute_backend
 from .pipeline import (
     ANSWERED,
     CANCELLED,
-    EXECUTE_FAILED,
     EXPIRED,
     PENDING,
-    PLAN_FAILED,
     REFUSED,
     STAGES,
     FlushPipeline,
@@ -439,10 +436,9 @@ class PrivateQueryEngine:
         }
         self._enable_sharding = bool(enable_sharding)
         # LRU-bounded like every other engine cache: each ShardSet pins
-        # projected sub-databases and scatter memos.
-        self._shard_sets: "OrderedDict[str, Optional[ShardSet]]" = OrderedDict()
-        self._shard_sets_maxsize = 32
-        self._shard_lock = threading.Lock()
+        # projected sub-databases and scatter memos.  ``None`` memoises an
+        # unshardable policy.
+        self._shard_sets = LRUMemo(maxsize=32)
         self._pipeline = FlushPipeline(self)
         # The factorisation store is process-global; binding is idempotent
         # per registry, so several enabled engines share one instrument set.
@@ -909,8 +905,10 @@ class PrivateQueryEngine:
         Raises
         ------
         MechanismError
-            When the answer cache is disabled, no (or several) cached
-            entries match, or the fresh measurement fails.
+            When the answer cache is disabled or no (or several) cached
+            entries match.  A fresh measurement that fails to plan or
+            execute raises :class:`~repro.exceptions.ReleaseFailedError`,
+            which is a ``MechanismError`` too.
         PrivacyBudgetError
             When the session cannot afford ``extra_epsilon``.
         """
@@ -954,10 +952,6 @@ class PrivateQueryEngine:
             top_up=(entry.key, entry.epsilon),
         )
         self._flush_for(ticket, random_state)
-        if ticket.status == REFUSED and ticket.error.startswith(
-            (PLAN_FAILED, EXECUTE_FAILED)
-        ):
-            raise MechanismError(f"top_up failed: {ticket.error}")
         return ticket.result().copy()
 
     # -------------------------------------------------------------- sharding
@@ -965,21 +959,11 @@ class PrivateQueryEngine:
         """The memoised shard set for ``policy`` (``None`` when unshardable)."""
         if not self._enable_sharding:
             return None
-        key = policy_signature(policy)
-        with self._shard_lock:
-            if key in self._shard_sets:
-                self._shard_sets.move_to_end(key)
-                return self._shard_sets[key]
-        # Build outside the lock (component analysis over a large domain can
-        # be slow); a racing build of the same policy is redundant, not wrong:
-        # builds are deterministic, so whichever set published first serves.
-        shard_set = ShardSet.build(policy, self._database)
-        with self._shard_lock:
-            shard_set = self._shard_sets.setdefault(key, shard_set)
-            self._shard_sets.move_to_end(key)
-            while len(self._shard_sets) > self._shard_sets_maxsize:
-                self._shard_sets.popitem(last=False)
-        return shard_set
+        # Built outside the memo's lock (component analysis over a large
+        # domain can be slow); whichever racing build published first serves.
+        return self._shard_sets.get_or_compute(
+            policy_signature(policy), lambda _: ShardSet.build(policy, self._database)
+        )
 
     def shard_count(self, policy: Optional[PolicyGraph] = None) -> int:
         """Number of domain shards the engine would scatter this policy over.

@@ -29,10 +29,13 @@ process round trip byte-identically):
   worker that lacks a digest (fresh plan raced to a cold worker, or a
   respawned worker that lost its cache) answers with a miss sentinel and
   the parent resubmits that one group with the full blobs, which also
-  repopulates the worker.  Shipped bytes, cache misses and parent-side
-  serialisation time are all observable (:attr:`bytes_shipped`,
-  :attr:`blob_cache_misses`, :attr:`serialization_seconds`, surfaced via
-  :class:`~repro.engine.EngineStats`).
+  repopulates the worker.  First dispatches and resubmits serialise, count
+  and ship through one send path (``ProcessExecuteBackend._ship``).
+  Shipped bytes, cache misses and parent-side serialisation time are all
+  observable (:attr:`bytes_shipped`, :attr:`blob_cache_misses`,
+  :attr:`serialization_seconds`, surfaced via
+  :class:`~repro.engine.EngineStats`).  The parent's blob memos and the
+  worker's resident cache are each a :class:`~repro.core.workload.LRUMemo`.
 
 :func:`execute_groups` is the one dispatch loop on top of both: it submits
 every group before awaiting any, and maps every failure — crashed pool,
@@ -52,7 +55,8 @@ Worker processes use the ``spawn`` start method (:data:`START_METHOD`):
 held locks into the child.  Spawned workers import the library once
 (~0.5 s) and then persist across flushes; the pool itself is created lazily
 on first dispatch so its initializer can preload everything the backend has
-seen by then.
+seen by then.  A broken pool is replaced at most :data:`RESPAWN_BUDGET`
+times; after that every unit runs inline.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -72,16 +75,21 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.database import Database
-from ..core.workload import Workload
+from ..core.workload import LRUMemo, Workload
 from ..mechanisms.base import NoiseModel
 from .observability.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 from .plan_cache import CachedPlan
-from .signature import PlanKey
 
 logger = logging.getLogger(__name__)
 
 #: ``multiprocessing`` start method of every worker pool (see above).
 START_METHOD = "spawn"
+
+#: Broken-pool degradation (see :class:`ProcessExecuteBackend`): how many
+#: times a pool whose worker died is replaced by a fresh one, and the
+#: back-off before each replacement, in seconds scaled by the attempt number.
+RESPAWN_BUDGET = 1
+RESPAWN_BACKOFF = 0.5
 
 __all__ = [
     "ExecuteUnit",
@@ -139,14 +147,9 @@ def run_unit(
     algorithm = plan.plan.algorithm
     if len(workloads) == 1:
         vectors = [algorithm.answer(workloads[0], database, rng)]
-        model_hook = getattr(algorithm, "noise_model", None) if want_noise else None
-        model = model_hook(workloads[0]) if model_hook is not None else None
+        model = algorithm.noise_model(workloads[0]) if want_noise else None
     elif want_noise:
-        batch_hook = getattr(algorithm, "answer_batch_with_noise", None)
-        if batch_hook is not None:
-            vectors, model = batch_hook(workloads, database, rng)
-        else:
-            vectors, model = algorithm.answer_batch(workloads, database, rng), None
+        vectors, model = algorithm.answer_batch_with_noise(workloads, database, rng)
     else:
         vectors, model = algorithm.answer_batch(workloads, database, rng), None
     return [np.asarray(vector, dtype=np.float64) for vector in vectors], model
@@ -352,17 +355,17 @@ def execute_groups(
 #: the content digest of their pickle.  Worker processes persist across
 #: flushes, so a hot object is unpickled once and its internal caches
 #: (workload transforms, Gram factorisation) stay warm from then on.
-_WORKER_RESIDENT: "OrderedDict[str, object]" = OrderedDict()
-_WORKER_RESIDENT_MAXSIZE = 128
+_WORKER_RESIDENT = LRUMemo(maxsize=128)
 
 #: The preload the pool initializer ran with — kept so a simulated respawn
 #: (:func:`_reset_worker_resident`) restores exactly the initializer state.
 _WORKER_PRELOAD: List[Tuple[str, bytes]] = []
 
 
-def _blob_digest(blob: bytes) -> str:
-    """Content digest a blob is addressed by across the process boundary."""
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+def _pickled(obj: object) -> Tuple[str, bytes]:
+    """``(content digest, pickle)``: how ``obj`` crosses the process boundary."""
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.blake2b(blob, digest_size=16).hexdigest(), blob
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,7 @@ def _preload_worker(resident: List[Tuple[str, bytes]]) -> None:
     _WORKER_PRELOAD = list(resident)
     _WORKER_RESIDENT.clear()
     for digest, blob in resident:
-        _WORKER_RESIDENT[digest] = pickle.loads(blob)
+        _WORKER_RESIDENT.put(digest, pickle.loads(blob))
 
 
 def _reset_worker_resident() -> bool:
@@ -405,15 +408,9 @@ def _reset_worker_resident() -> bool:
 def _resident_get(digest: str, blob: Optional[bytes]):
     """Recall a resident object, re-hydrating from ``blob`` when shipped."""
     obj = _WORKER_RESIDENT.get(digest)
-    if obj is not None:
-        _WORKER_RESIDENT.move_to_end(digest)
-        return obj
-    if blob is None:
-        return None
-    obj = pickle.loads(blob)
-    _WORKER_RESIDENT[digest] = obj
-    while len(_WORKER_RESIDENT) > _WORKER_RESIDENT_MAXSIZE:
-        _WORKER_RESIDENT.popitem(last=False)
+    if obj is None and blob is not None:
+        obj = pickle.loads(blob)
+        _WORKER_RESIDENT.put(digest, obj)
     return obj
 
 
@@ -545,9 +542,7 @@ class _ProcessGroupDispatch:
                     "end": time.time(),
                 }
             )
-            value = self._backend._recover_group_miss(
-                self._group, value, timeout=timeout
-            )
+            value = self._backend._resubmit(self._group, value.missing, timeout)
         outcomes, kernels, span = value
         self.kernel_seconds_list = kernels
         if span is not None:
@@ -562,39 +557,39 @@ class ProcessExecuteBackend:
     Dispatches speak the **miss-only blob protocol**: plans and databases
     cross the pipe as content digests, not blobs.  Workers keep a
     digest-keyed resident cache, preloaded through the pool initializer
-    with ``preload`` (typically the engine database) plus every plan blob
-    memoised before the pool starts (the pool is created lazily on the
-    first dispatch, so the first group's plans are always preloaded).  A
-    blob first seen *after* pool creation is shipped eagerly exactly once —
-    it lands on one worker; any other worker that draws a later digest-only
-    dispatch answers with a miss sentinel and the parent resubmits that one
-    group with full blobs (also how a respawned worker repopulates).  Steady
-    state therefore ships only the workloads and the RNG children.
+    with the ``preload`` databases plus every plan blob memoised before the
+    pool starts (the pool is created lazily on the first dispatch, so the
+    first group's plans are always preloaded).  A blob first seen *after*
+    pool creation is shipped eagerly exactly once — it lands on one worker;
+    any other worker that draws a later digest-only dispatch answers with a
+    miss sentinel and the parent resubmits that one group with full blobs
+    (also how a respawned worker repopulates).  Steady state therefore
+    ships only the workloads and the RNG children.
+
+    A worker pool that breaks (a worker OOM-killed or SIGKILLed) is
+    replaced by a fresh one — re-preloading the memoised blobs through the
+    pool initializer — up to :data:`RESPAWN_BUDGET` times, each after
+    :data:`RESPAWN_BACKOFF` seconds scaled by the attempt number, so a crash
+    loop cannot hot-spin worker spawns.  Past the budget the backend stops
+    building pools and every unit runs inline on the flushing thread,
+    permanently.  The dispatch that hit the broken pool still fails (its
+    batch rolls back — re-running a unit that may have killed its worker
+    inline could take the serving process down); the respawn serves
+    *subsequent* flushes.
 
     Parameters
     ----------
     max_workers:
         Worker-process count (started with :data:`START_METHOD`).
     preload:
-        Objects every worker must hold resident from birth (the engine
-        passes its database).  Pickled once here; respawned workers re-run
-        the initializer, so preloaded digests can never miss.
+        Databases every worker must hold resident from birth (the engine
+        passes the one it serves).  Pickled at pool creation; respawned
+        workers re-run the initializer, so preloaded digests can never miss.
     metrics:
         Optional :class:`~repro.engine.observability.MetricsRegistry`;
-        when set, each dispatch feeds per-dispatch bytes-shipped and
-        serialisation-seconds histograms (the aggregate counters above
+        when set, each dispatch and resubmit feeds bytes-shipped and
+        serialisation-seconds histograms (the aggregate counters below
         stay available either way).
-    respawn_budget / respawn_backoff:
-        Broken-pool degradation policy: how many times a pool whose worker
-        died (OOM-kill, SIGKILL) is replaced by a fresh one — re-preloading
-        the memoised blobs through the pool initializer — and how long (in
-        seconds, scaled by the attempt number) to back off before the
-        replacement, so a crash loop cannot hot-spin worker spawns.  Past
-        the budget the backend stops building pools and every unit runs
-        inline on the flushing thread, permanently.  The dispatch that hit
-        the broken pool still fails (its batch rolls back — re-running a
-        unit that may have killed its worker inline could take the serving
-        process down); the respawn serves *subsequent* flushes.
     """
 
     name = "process"
@@ -602,10 +597,8 @@ class ProcessExecuteBackend:
     def __init__(
         self,
         max_workers: int,
-        preload: Sequence[object] = (),
+        preload: Sequence[Database] = (),
         metrics: Optional[MetricsRegistry] = None,
-        respawn_budget: int = 1,
-        respawn_backoff: float = 0.5,
     ) -> None:
         self._max_workers = int(max_workers)
         self._context = multiprocessing.get_context(START_METHOD)
@@ -625,19 +618,14 @@ class ProcessExecuteBackend:
             self._h_bytes = None
             self._h_serialization = None
         # The pool is created lazily (first dispatch) so its initializer can
-        # preload everything memoised by then — see _ensure_pool.
+        # preload everything memoised by then — see _ensure_pool.  A broken
+        # pool is retired and, while the respawn budget lasts, lazily
+        # replaced by the next _ensure_pool; once the budget is spent
+        # _ensure_pool raises RuntimeError, which the pipeline treats like
+        # an engine close: units run inline, permanently.
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = False
-        # Broken-pool degradation: a pool whose worker died (OOM-kill,
-        # SIGKILL, interpreter abort) is retired and — while the budget
-        # lasts — lazily respawned by the next _ensure_pool, whose
-        # initializer re-preloads the memoised blobs into every fresh
-        # worker.  Once the budget is spent the backend refuses further
-        # pools (RuntimeError from _ensure_pool), which the pipeline treats
-        # like an engine close: units run inline, permanently.
-        self._respawn_budget = max(0, int(respawn_budget))
-        self._respawn_backoff = max(0.0, float(respawn_backoff))
         self._respawns = 0
         self._broken = False
         self._counter_lock = threading.Lock()
@@ -647,31 +635,25 @@ class ProcessExecuteBackend:
         self._preload_bytes = 0
         self._blob_cache_misses = 0
         self._resubmits = 0
-        # Parent-side memo of plan pickles: a hot plan is serialised once,
-        # then every later dispatch reuses the digest and ships only that.
-        self._blob_lock = threading.Lock()
-        self._plan_blobs: "OrderedDict[PlanKey, Tuple[str, bytes]]" = OrderedDict()
-        self._plan_blobs_maxsize = 32
-        # Same for databases, which are immutable for the engine's lifetime
-        # (full histogram for unsharded units, projected shard histograms
-        # otherwise).  Keyed by object identity — each memo entry pins its
-        # database, so a recycled id() can never alias.
-        self._db_blobs: "OrderedDict[int, Tuple[Database, str, bytes]]" = OrderedDict()
-        self._db_blobs_maxsize = 64
+        # Parent-side memos of ``(digest, blob)`` pickles: a hot plan or
+        # database is serialised once, then every later dispatch reuses the
+        # digest and ships only that.  Databases are immutable for the
+        # engine's lifetime and keyed by identity; each entry pins its
+        # database, so its id() cannot be reused while the entry lives.
+        self._plan_blobs = LRUMemo(maxsize=32)
+        self._db_blobs = LRUMemo(maxsize=64)
         #: Digests known to be resident somewhere in the pool: preloaded
         #: into every worker, or eagerly shipped to one.  Digest-only
         #: dispatches of anything else would miss deterministically, so the
         #: first dispatch of a new digest always carries its blob.
+        self._blob_lock = threading.Lock()
         self._shipped_digests: set = set()
-        #: Preload objects are pickled lazily at pool creation, not here —
+        #: Preload databases are pickled lazily at pool creation, not here —
         #: an engine whose workload never earns a process dispatch must not
         #: pay a full-histogram pickle at construction time (and when it is
         #: paid, it is accounted in serialization_seconds like every other
         #: parent-side pickle).
-        self._pending_preload: List[object] = list(preload)
-        #: Preloads that are not databases still reach every worker through
-        #: the initializer, they just cannot be recalled via _db_entry.
-        self._extra_preload: List[Tuple[str, bytes]] = []
+        self._pending_preload: List[Database] = list(preload)
 
     # ------------------------------------------------------------- telemetry
     @property
@@ -704,7 +686,7 @@ class ProcessExecuteBackend:
 
     @property
     def blob_cache_misses(self) -> int:
-        """Worker-side resident-cache misses (one per missing blob kind)."""
+        """Worker-side resident-cache misses (one per missing digest)."""
         with self._counter_lock:
             return self._blob_cache_misses
 
@@ -727,34 +709,12 @@ class ProcessExecuteBackend:
 
     # ------------------------------------------------------------------ blobs
     def _plan_entry(self, plan: CachedPlan) -> Tuple[str, bytes]:
-        with self._blob_lock:
-            entry = self._plan_blobs.get(plan.key)
-            if entry is not None:
-                self._plan_blobs.move_to_end(plan.key)
-                return entry
-        blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = _blob_digest(blob)
-        with self._blob_lock:
-            self._plan_blobs[plan.key] = (digest, blob)
-            self._plan_blobs.move_to_end(plan.key)
-            while len(self._plan_blobs) > self._plan_blobs_maxsize:
-                self._plan_blobs.popitem(last=False)
-        return digest, blob
+        return self._plan_blobs.get_or_compute(plan.key, lambda _: _pickled(plan))
 
     def _db_entry(self, database: Database) -> Tuple[str, bytes]:
-        key = id(database)
-        with self._blob_lock:
-            entry = self._db_blobs.get(key)
-            if entry is not None and entry[0] is database:
-                self._db_blobs.move_to_end(key)
-                return entry[1], entry[2]
-        blob = pickle.dumps(database, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = _blob_digest(blob)
-        with self._blob_lock:
-            self._db_blobs[key] = (database, digest, blob)
-            self._db_blobs.move_to_end(key)
-            while len(self._db_blobs) > self._db_blobs_maxsize:
-                self._db_blobs.popitem(last=False)
+        _, digest, blob = self._db_blobs.get_or_compute(
+            id(database), lambda _: (database, *_pickled(database))
+        )
         return digest, blob
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -775,19 +735,13 @@ class ProcessExecuteBackend:
                 # demands (the charge stands either way).
                 raise RuntimeError(
                     "process worker pool broke and its respawn budget "
-                    f"({self._respawn_budget}) is exhausted; executing inline"
+                    f"({RESPAWN_BUDGET}) is exhausted; executing inline"
                 )
             if self._pool is None:
                 self._materialise_preload()
-                with self._blob_lock:
-                    resident = (
-                        [(digest, blob) for digest, blob in self._plan_blobs.values()]
-                        + [
-                            (digest, blob)
-                            for _, digest, blob in self._db_blobs.values()
-                        ]
-                        + list(self._extra_preload)
-                    )
+                resident = self._plan_blobs.values() + [
+                    (digest, blob) for _, digest, blob in self._db_blobs.values()
+                ]
                 self._pool = ProcessPoolExecutor(
                     max_workers=self._max_workers,
                     mp_context=self._context,
@@ -797,11 +751,12 @@ class ProcessExecuteBackend:
                 preloaded = sum(len(blob) for _, blob in resident)
                 with self._counter_lock:
                     self._preload_bytes = preloaded
-                self._shipped_digests.update(digest for digest, _ in resident)
+                with self._blob_lock:
+                    self._shipped_digests.update(digest for digest, _ in resident)
             return self._pool
 
     def _materialise_preload(self) -> None:
-        """Pickle any still-pending preload objects into the blob memos.
+        """Pickle the still-pending preload databases into the blob memo.
 
         Runs once, at pool creation (caller holds the pool lock).  A
         preload database the first dispatch already memoised via
@@ -812,12 +767,8 @@ class ProcessExecuteBackend:
         if not pending:
             return
         started = time.perf_counter()
-        for obj in pending:
-            if isinstance(obj, Database):
-                self._db_entry(obj)
-            else:
-                blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-                self._extra_preload.append((_blob_digest(blob), blob))
+        for database in pending:
+            self._db_entry(database)
         with self._counter_lock:
             self._serialization_seconds += time.perf_counter() - started
 
@@ -836,14 +787,14 @@ class ProcessExecuteBackend:
             pool, self._pool = self._pool, None
             if pool is None or self._closed or self._broken:
                 backoff = 0.0
-            elif self._respawns < self._respawn_budget:
+            elif self._respawns < RESPAWN_BUDGET:
                 self._respawns += 1
-                backoff = self._respawn_backoff * self._respawns
+                backoff = RESPAWN_BACKOFF * self._respawns
                 logger.warning(
                     "process worker pool broke; respawning (attempt %d of "
                     "%d) after %.2fs backoff",
                     self._respawns,
-                    self._respawn_budget,
+                    RESPAWN_BUDGET,
                     backoff,
                 )
             else:
@@ -853,7 +804,7 @@ class ProcessExecuteBackend:
                     "process worker pool broke with the respawn budget "
                     "(%d) exhausted; falling back to inline execution "
                     "permanently",
-                    self._respawn_budget,
+                    RESPAWN_BUDGET,
                 )
         if pool is not None:
             pool.shutdown(wait=False)
@@ -870,37 +821,34 @@ class ProcessExecuteBackend:
             self._note_broken_pool()
             raise
 
-    def _ship_blob(self, digest: str, blob: bytes) -> Optional[bytes]:
-        """Decide whether this dispatch carries the blob or the digest alone."""
-        with self._blob_lock:
-            if digest in self._shipped_digests:
-                return None
-            self._shipped_digests.add(digest)
-        return blob
+    # ------------------------------------------------------------------- ship
+    def _ship(
+        self, group: ExecuteUnitGroup, missing: Optional[Tuple[str, ...]] = None
+    ):
+        """Serialise ``group`` and hand it to the pool as one worker task.
 
-    # ----------------------------------------------------------------- submit
-    def submit_group(self, group: ExecuteUnitGroup) -> _ProcessGroupDispatch:
-        """Serialise and ship one group as a single worker task.
-
-        One IPC round trip executes every member kernel back-to-back in one
-        worker — the per-dispatch protocol cost (payload pickle framing,
-        queue hop, future round trip) is paid once per group instead of once
-        per unit.  Plan and database pickles are memoised (both are
-        immutable for the engine's lifetime) and cross the pipe as content
-        digests; each distinct blob is shipped at most once even when
-        several members share it, so a steady-state dispatch serialises and
-        ships only the workloads and the RNG children.  Serialisation
-        failures (e.g. a plan holding an unpicklable custom estimator
-        factory) raise here, *before* anything is scheduled; a closed
-        backend raises ``RuntimeError``.
+        The one send path, for a first dispatch (``missing`` is ``None``)
+        and for a resubmit after a worker reported ``missing`` digests.
+        Plan and database pickles come from the memos and cross the pipe as
+        content digests; each distinct blob rides a task at most once, even
+        when several members share it.  A first dispatch attaches only the
+        blobs no worker is known to hold.  A resubmit attaches every blob —
+        a worker holding everything it is handed cannot miss again — and
+        forgets that the missing digests were shipped, so the next first
+        dispatch re-ships them eagerly (one fat hop) instead of risking
+        another miss round trip, the thrashing regime when the working set
+        outgrows the worker resident cache.  Serialisation failures raise
+        before anything is scheduled; a closed backend raises
+        ``RuntimeError`` and a broken pool ``BrokenExecutor``.  Returns the
+        pool future.
         """
         started = time.perf_counter()
-        metas: List[Tuple[str, str]] = []
+        digests: List[Tuple[str, str]] = []
         blobs: Dict[str, bytes] = {}
         for unit in group.units:
             plan_digest, plan_blob = self._plan_entry(unit.plan)
             db_digest, db_blob = self._db_entry(unit.database)
-            metas.append((plan_digest, db_digest))
+            digests.append((plan_digest, db_digest))
             blobs.setdefault(plan_digest, plan_blob)
             blobs.setdefault(db_digest, db_blob)
         payload_blob = pickle.dumps(
@@ -908,15 +856,25 @@ class ProcessExecuteBackend:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         elapsed = time.perf_counter() - started
+        if missing is not None:
+            with self._blob_lock:
+                self._shipped_digests.difference_update(missing)
+            with self._counter_lock:
+                self._resubmits += 1
+                self._blob_cache_misses += len(missing)
+        # After the memos above: pool creation snapshots them as the preload.
         pool = self._ensure_pool()
-        to_ship = {
-            digest: blob
-            for digest, blob in blobs.items()
-            if self._ship_blob(digest, blob) is not None
-        }
+        if missing is None:
+            with self._blob_lock:
+                blobs = {
+                    digest: blob
+                    for digest, blob in blobs.items()
+                    if digest not in self._shipped_digests
+                }
+                self._shipped_digests.update(blobs)
         members = tuple(
-            (plan_digest, to_ship.get(plan_digest), db_digest, to_ship.get(db_digest))
-            for plan_digest, db_digest in metas
+            (plan_digest, blobs.get(plan_digest), db_digest, blobs.get(db_digest))
+            for plan_digest, db_digest in digests
         )
         try:
             future = pool.submit(_execute_shipped_group, members, payload_blob)
@@ -925,73 +883,55 @@ class ProcessExecuteBackend:
             raise
         shipped = (
             len(payload_blob)
-            + sum(len(plan_digest) + len(db_digest) for plan_digest, db_digest in metas)
-            + sum(len(blob) for blob in to_ship.values())
+            + sum(len(plan_digest) + len(db_digest) for plan_digest, db_digest in digests)
+            + sum(len(blob) for blob in blobs.values())
         )
         with self._counter_lock:
-            self._dispatches += 1
+            if missing is None:
+                self._dispatches += 1
             self._serialization_seconds += elapsed
             self._bytes_shipped += shipped
         if self._h_bytes is not None:
             self._h_bytes.observe(shipped)
             self._h_serialization.observe(elapsed)
-        return _ProcessGroupDispatch(self, group, future)
+        return future
 
-    # --------------------------------------------------------------- protocol
-    def _recover_group_miss(
+    def submit_group(self, group: ExecuteUnitGroup) -> _ProcessGroupDispatch:
+        """Ship one group as a single worker task (see :meth:`_ship`).
+
+        One IPC round trip executes every member kernel back-to-back in one
+        worker — the per-dispatch protocol cost (payload pickle framing,
+        queue hop, future round trip) is paid once per group instead of once
+        per unit.
+        """
+        return _ProcessGroupDispatch(self, group, self._ship(group))
+
+    def _resubmit(
         self,
         group: ExecuteUnitGroup,
-        miss: _BlobMiss,
+        missing: Tuple[str, ...],
         timeout: Optional[float] = None,
     ):
-        """Resubmit one missed group with every blob attached (the slow,
-        corrective path).
+        """Re-send a group whose worker lacked ``missing`` digests, with
+        every blob attached; return the worker's ``(outcomes, kernels, span)``.
 
-        Misses name the missing *digests*.  The single corrective round
-        ships **all** of the group's blobs — a worker holding everything it
-        is handed cannot miss again — and re-populates whichever worker
-        picks it up.  The RNG payload of the first attempt was never
-        unpickled, so the retry draws identical noise: determinism never
-        depends on the miss path.
+        The RNG payload of the first attempt was never unpickled, so the
+        retry draws identical noise: determinism never depends on the miss
+        path.  A backend closed between the miss and the resubmit runs the
+        group inline instead — the charges already stand, so the paid-for
+        release still happens (the closed-backend rung of execute_groups).
         """
         logger.info(
             "blob miss on process dispatch of %d unit(s) (missing %d "
             "digests); resubmitting with full blobs",
             len(group.units),
-            len(miss.missing),
+            len(missing),
         )
-        started = time.perf_counter()
-        members = []
-        for unit in group.units:
-            plan_digest, plan_blob = self._plan_entry(unit.plan)
-            db_digest, db_blob = self._db_entry(unit.database)
-            members.append((plan_digest, plan_blob, db_digest, db_blob))
-        payload_blob = pickle.dumps(
-            [(unit.workloads, unit.rng, unit.want_noise) for unit in group.units],
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        with self._counter_lock:
-            self._serialization_seconds += time.perf_counter() - started
-            self._blob_cache_misses += len(miss.missing)
-            self._resubmits += 1
-        with self._blob_lock:
-            # The miss proves a worker dropped (or never had) these
-            # digests: forget they were shipped, so the next regular
-            # dispatch re-ships them eagerly — one fat hop — instead of
-            # risking another miss round trip (the thrashing regime when
-            # the working set outgrows the worker resident cache).
-            for digest in miss.missing:
-                self._shipped_digests.discard(digest)
         try:
-            pool = self._ensure_pool()
-            future = pool.submit(_execute_shipped_group, tuple(members), payload_blob)
+            future = self._ship(group, missing)
         except BrokenExecutor:
-            self._note_broken_pool()
             raise
         except RuntimeError:
-            # Backend closed between the miss and the resubmit: the charges
-            # already stand, so the paid-for group runs inline (the same
-            # closed-backend rung as execute_groups).
             logger.warning(
                 "process backend closed during blob-miss recovery; "
                 "running %d unit(s) inline on the calling thread",
@@ -1007,11 +947,6 @@ class ProcessExecuteBackend:
                 "units": len(group.units),
             }
             return outcomes, kernels, span
-        with self._counter_lock:
-            self._bytes_shipped += len(payload_blob) + sum(
-                len(plan_digest) + len(plan_blob) + len(db_digest) + len(db_blob)
-                for plan_digest, plan_blob, db_digest, db_blob in members
-            )
         value = self._await_future(future, timeout)
         if isinstance(value, _BlobMiss):  # pragma: no cover - protocol invariant
             raise RuntimeError(
@@ -1053,20 +988,19 @@ class ProcessExecuteBackend:
         with self._pool_lock:
             self._closed = True
             pool, self._pool = self._pool, None
+            self._pending_preload.clear()
         if pool is not None:
             pool.shutdown(wait=wait)
+        self._plan_blobs.clear()
+        self._db_blobs.clear()
         with self._blob_lock:
-            self._plan_blobs.clear()
-            self._db_blobs.clear()
-            self._pending_preload.clear()
-            self._extra_preload.clear()
             self._shipped_digests.clear()
 
 
 def create_execute_backend(
     backend: str,
     max_workers: Optional[int],
-    preload: Sequence[object] = (),
+    preload: Sequence[Database] = (),
     metrics: Optional[MetricsRegistry] = None,
 ):
     """Build the execute backend the engine was configured with.

@@ -63,6 +63,7 @@ from ..exceptions import (
     MechanismError,
     PrivacyBudgetError,
     QueryCancelledError,
+    ReleaseFailedError,
 )
 from ..mechanisms.base import NoiseModel
 from ..policy.graph import PolicyGraph
@@ -162,6 +163,10 @@ class QueryTicket:
     answers: Optional[np.ndarray] = None
     from_cache: bool = False
     error: Optional[str] = None
+    #: ``True`` for a ``refused`` ticket whose release failed (planning or
+    #: execution, see :data:`PLAN_FAILED` / :data:`EXECUTE_FAILED`) rather
+    #: than its budget; it spent no ε either way.
+    release_failed: bool = False
     #: Identifier of the mechanism invocation that produced the answer.
     #: Batch-mates share a draw id because their noise came from one
     #: invocation — the correlation the road-mapped GLS consolidation needs.
@@ -257,12 +262,18 @@ class QueryTicket:
         self._lifecycle.resolve()
 
     def result(self) -> np.ndarray:
-        """The noisy answers; raises when the query was refused or is pending."""
+        """The noisy answers; raises when the query was refused or is pending.
+
+        A refusal raises :class:`~repro.exceptions.PrivacyBudgetError`, or
+        its subclass :class:`~repro.exceptions.ReleaseFailedError` when the
+        release failed rather than the budget.
+        """
         if self.status == ANSWERED:
             assert self.answers is not None
             return self.answers
         if self.status == REFUSED:
-            raise PrivacyBudgetError(
+            error = ReleaseFailedError if self.release_failed else PrivacyBudgetError
+            raise error(
                 self.error
                 or f"Query was refused (ticket {self.ticket_id}, "
                 f"client {self.client_id!r})"
@@ -669,7 +680,11 @@ class FlushPipeline:
             for ticket in batch.tickets:
                 if ticket._claim():
                     self._refuse(
-                        ticket, batch.plan_error, count_session=True, trace=trace
+                        ticket,
+                        batch.plan_error,
+                        count_session=True,
+                        trace=trace,
+                        release_failed=True,
                     )
             return
         trace_id = trace.trace_id if trace is not None else None
@@ -1098,7 +1113,9 @@ class FlushPipeline:
                 ):
                     session.accountant.rollback(operation)
             for ticket in batch.admitted:
-                self._refuse(ticket, error, count_session=True, trace=trace)
+                self._refuse(
+                    ticket, error, count_session=True, trace=trace, release_failed=True
+                )
             return
         engine._c_batches.inc()
         if batch.invocations:
@@ -1273,10 +1290,12 @@ class FlushPipeline:
         error: str,
         count_session: bool,
         trace: Optional["Trace"] = None,
+        release_failed: bool = False,
     ) -> None:
         engine = self._engine
         ticket.status = REFUSED
         ticket.error = error
+        ticket.release_failed = release_failed
         if count_session:
             with ticket.session.accountant.lock:
                 ticket.session.queries_refused += 1

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import OrderedDict
 from typing import Callable, List, Optional, Pattern, Tuple
 
-from ...core.workload import Workload
+from ...core.workload import LRUMemo, Workload
 from .admission import AdmissionController
 from .async_engine import AsyncQueryEngine
 from .http import HTTPError, Request, Response, error_response
@@ -78,8 +77,9 @@ class ServingApp:
         self.draining = False
         self._routes: List[RouteEntry] = []
         answer_cache = engine.answer_cache
-        self._body_memo_size = 0 if answer_cache is None else answer_cache.maxsize
-        self._body_memo: "OrderedDict[bytes, ParsedBody]" = OrderedDict()
+        self._body_memo: Optional[LRUMemo] = (
+            None if answer_cache is None else LRUMemo(maxsize=answer_cache.maxsize)
+        )
 
     # ---------------------------------------------------------------- routing
     def add_route(self, method: str, pattern: str, handler: Callable) -> None:
@@ -124,19 +124,13 @@ class ServingApp:
     # ------------------------------------------------------------- body memo
     def recall_body(self, digest: bytes) -> Optional[ParsedBody]:
         """The memoised parse of the query body with this sha256 ``digest``."""
-        parsed = self._body_memo.get(digest)
-        if parsed is not None:
-            self._body_memo.move_to_end(digest)
-        return parsed
+        return None if self._body_memo is None else self._body_memo.get(digest)
 
     def remember_body(self, digest: bytes, body: dict, workload: Workload) -> None:
         """Memoise a query body whose workload parsed (oldest out past capacity)."""
-        if not self._body_memo_size:
-            return
-        fields = {name: value for name, value in body.items() if name != "workload"}
-        self._body_memo[digest] = (fields, workload)
-        if len(self._body_memo) > self._body_memo_size:
-            self._body_memo.popitem(last=False)
+        if self._body_memo is not None:
+            fields = {name: value for name, value in body.items() if name != "workload"}
+            self._body_memo.put(digest, (fields, workload))
 
     def drain(self) -> None:
         """Stop admitting queries; readiness flips to 503.

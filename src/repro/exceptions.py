@@ -42,6 +42,17 @@ class MechanismError(ReproError):
     """Raised when a mechanism is configured or invoked inconsistently."""
 
 
+class ReleaseFailedError(PrivacyBudgetError, MechanismError):
+    """Raised by a refused ticket whose release failed, not its budget.
+
+    Planning failed before anything was charged, or execution failed and
+    the charge was rolled back: either way the ticket spent no ε.  It
+    subclasses :class:`PrivacyBudgetError` because such a ticket is
+    ``refused`` like a budget refusal, and :class:`MechanismError` because
+    the mechanism is what failed.
+    """
+
+
 class AskTimeoutError(MechanismError):
     """Raised when a blocking or awaited ask outlived its ``timeout``.
 

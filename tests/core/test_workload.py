@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +19,7 @@ from repro.core import (
     total_workload,
     workload_from_rows,
 )
-from repro.core.workload import Workload, WorkloadTransformCache
+from repro.core.workload import LRUMemo, Workload, WorkloadTransformCache
 from repro.exceptions import WorkloadError
 
 
@@ -150,34 +154,99 @@ class TestSensitivities:
         assert total_workload(line_domain_16).l1_sensitivity() == 1.0
 
 
+#: The plain LRU memo's hashable-key cases: the key each one gives a workload.
+HASHABLE_KEYS = {
+    "str": lambda workload: workload.signature(),
+    "bytes": lambda workload: workload.signature().encode(),
+    "int": lambda workload: workload.num_queries,
+    "tuple": lambda workload: ("rows", workload.num_queries),
+}
+
+
+def assert_evicts_only_the_least_recent(memo_class, key_of) -> None:
+    """Cycling bound+1 distinct keys through the memo recomputes only the
+    one evicted entry."""
+    domain = Domain((8,))
+    bound = 4
+    cache = memo_class(maxsize=bound)
+    keys = [
+        key_of(Workload(domain, np.eye(8)[: rows + 1])) for rows in range(bound + 1)
+    ]
+    computes = []
+
+    def compute(key):
+        computes.append(key)
+        return len(computes)
+
+    first = [cache.get_or_compute(key, compute) for key in keys]
+    assert first == list(range(1, bound + 2)) and len(cache) == bound
+    # keys[0] was evicted; the other ``bound`` entries all hit.
+    again = [cache.get_or_compute(key, compute) for key in keys[1:]]
+    assert again == first[1:]
+    assert cache.get_or_compute(keys[0], compute) == bound + 2
+    assert computes[-1] is keys[0]
+
+
+def assert_memoises_none(memo_class, key_of) -> None:
+    cache = memo_class(maxsize=2)
+    key = key_of(identity_workload(Domain((4,))))
+    calls = []
+    for _ in range(3):
+        assert cache.get_or_compute(key, lambda k: calls.append(k)) is None
+    assert len(calls) == 1
+
+
 class TestWorkloadTransformCache:
     def test_a_full_memo_evicts_only_its_least_recent_entry(self):
-        """Cycling bound+1 distinct workloads through the memo recomputes
-        only the one evicted entry."""
-        domain = Domain((8,))
-        bound = 4
-        cache = WorkloadTransformCache(maxsize=bound)
-        computes = []
-
-        def compute(workload):
-            computes.append(workload.signature())
-            return workload.num_queries
-
-        workloads = [
-            Workload(domain, np.eye(8)[: rows + 1]) for rows in range(bound + 1)
-        ]
-        for workload in workloads:
-            cache.get_or_compute(workload, compute)
-        assert len(cache) == bound and len(computes) == bound + 1
-        # workloads[0] was evicted; the other ``bound`` entries all hit.
-        for workload in workloads[1:] + workloads[:1]:
-            assert cache.get_or_compute(workload, compute) == workload.num_queries
-        assert computes[bound + 1 :] == [workloads[0].signature()]
+        assert_evicts_only_the_least_recent(WorkloadTransformCache, lambda w: w)
 
     def test_none_is_memoised(self):
-        cache = WorkloadTransformCache(maxsize=2)
+        assert_memoises_none(WorkloadTransformCache, lambda w: w)
+
+    @pytest.mark.parametrize("key_of", HASHABLE_KEYS.values(), ids=HASHABLE_KEYS)
+    def test_lru_memo_evicts_only_its_least_recent_entry(self, key_of):
+        assert_evicts_only_the_least_recent(LRUMemo, key_of)
+
+    @pytest.mark.parametrize("key_of", HASHABLE_KEYS.values(), ids=HASHABLE_KEYS)
+    def test_lru_memo_memoises_none(self, key_of):
+        assert_memoises_none(LRUMemo, key_of)
+
+    def test_racing_computes_share_the_first_published_value(self):
+        """Threads racing on the same keys all get one value per key: the
+        one published first, never a later duplicate."""
+        memo = LRUMemo(maxsize=4)
+        barrier = threading.Barrier(8)
+        seen = [[] for _ in range(8)]
+
+        def worker(index):
+            barrier.wait(timeout=10)
+            for round_ in range(50):
+                key = round_ % 4
+                seen[index].append(memo.get_or_compute(key, lambda k: [k]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(memo) == 4
+        published = [memo.get(key) for key in range(4)]
+        for values in seen:
+            assert all(value is published[r % 4] for r, value in enumerate(values))
+
+    def test_pickled_state_is_the_maxsize_and_the_entries(self):
+        cache = WorkloadTransformCache(maxsize=3)
         workload = identity_workload(Domain((4,)))
-        calls = []
-        for _ in range(3):
-            assert cache.get_or_compute(workload, lambda w: calls.append(w)) is None
-        assert len(calls) == 1
+        cache.get_or_compute(workload, lambda w: w.num_queries)
+        state = cache.__getstate__()
+        assert state == {"_maxsize": 3, "_entries": {workload.signature(): 4}}
+        assert type(state["_entries"]) is dict
+        clone = pickle.loads(pickle.dumps(cache))
+        assert type(clone) is WorkloadTransformCache
+        assert clone.get_or_compute(workload, lambda w: None) == 4

@@ -24,7 +24,7 @@ import pytest
 
 from repro.accounting import PrivacyAccountant
 from repro.core import Database, Domain, cumulative_workload, identity_workload
-from repro.engine import PrivateQueryEngine
+from repro.engine import PrivateQueryEngine, parallel
 from repro.engine.durability import (
     CRASH_POINTS,
     FaultInjector,
@@ -644,7 +644,7 @@ class TestBrokenPoolRespawn:
         return tickets
 
     def test_killed_worker_respawns_once_then_falls_back_inline(
-        self, database, domain
+        self, database, domain, monkeypatch
     ):
         engine = make_engine(
             database,
@@ -655,7 +655,7 @@ class TestBrokenPoolRespawn:
             execute_backend="process",
         )
         backend = engine._execute_backend
-        backend._respawn_backoff = 0.01
+        monkeypatch.setattr(parallel, "RESPAWN_BACKOFF", 0.01)
         with engine:
             session = engine.open_session("alice", 90.0)
             answered = self.serve_round(engine, domain, (1.0, 1.25))
@@ -695,7 +695,9 @@ class TestBrokenPoolRespawn:
             assert session.spent() <= 90.0
             assert session.spent() >= answered_epsilon
 
-    def test_stats_snapshot_keeps_respawns_after_close(self, database, domain):
+    def test_stats_snapshot_keeps_respawns_after_close(
+        self, database, domain, monkeypatch
+    ):
         engine = make_engine(
             database,
             domain,
@@ -705,7 +707,7 @@ class TestBrokenPoolRespawn:
             execute_backend="process",
         )
         backend = engine._execute_backend
-        backend._respawn_backoff = 0.01
+        monkeypatch.setattr(parallel, "RESPAWN_BACKOFF", 0.01)
         with engine:
             engine.open_session("alice", 50.0)
             self.serve_round(engine, domain, (1.0, 1.25))

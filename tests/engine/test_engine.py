@@ -13,7 +13,12 @@ from repro.core import (
     total_workload,
 )
 from repro.engine import PrivateQueryEngine
-from repro.exceptions import MechanismError, PolicyError, PrivacyBudgetError
+from repro.exceptions import (
+    MechanismError,
+    PolicyError,
+    PrivacyBudgetError,
+    ReleaseFailedError,
+)
 from repro.policy import line_policy, threshold_policy
 
 
@@ -488,6 +493,41 @@ class TestFailureRollback:
         engine.flush()
         assert bad.status == "refused"
         assert good.status == "answered"
+
+
+class TestReleaseFailures:
+    """A failed release reads as one, not as an exhausted allotment."""
+
+    @pytest.mark.parametrize("stage", ["plan", "execute"])
+    def test_release_failure_raises_release_failed_error(
+        self, engine, domain, monkeypatch, stage
+    ):
+        engine.open_session("alice", 1.0)
+        ticket = engine.submit("alice", identity_workload(domain), epsilon=0.5)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError(f"{stage} crashed")
+
+        if stage == "plan":
+            monkeypatch.setattr(engine.plan_cache, "plan_for", explode)
+        else:
+            entry = engine.plan_cache.plan_for(ticket.policy, 0.5)
+            monkeypatch.setattr(entry.plan.algorithm, "answer", explode)
+        engine.flush()
+        assert ticket.status == "refused" and ticket.release_failed
+        with pytest.raises(ReleaseFailedError, match=f"{stage} crashed") as raised:
+            ticket.result()
+        assert isinstance(raised.value, PrivacyBudgetError)
+        assert isinstance(raised.value, MechanismError)
+
+    def test_budget_refusal_is_not_a_release_failure(self, engine, domain):
+        engine.open_session("alice", 0.25)
+        ticket = engine.submit("alice", identity_workload(domain), epsilon=0.5)
+        engine.flush()
+        assert ticket.status == "refused" and not ticket.release_failed
+        with pytest.raises(PrivacyBudgetError) as raised:
+            ticket.result()
+        assert not isinstance(raised.value, ReleaseFailedError)
 
 
 class TestSessionIdentity:

@@ -515,10 +515,9 @@ class TestLifecycle:
             rng=np.random.default_rng(0),
         )
         run_alone(backend, unit)
-        assert backend._plan_blobs and backend._db_blobs
+        assert len(backend._plan_blobs) == len(backend._db_blobs) == 1
         backend.close()
-        assert not backend._plan_blobs
-        assert not backend._db_blobs
+        assert len(backend._plan_blobs) == len(backend._db_blobs) == 0
         assert not backend._shipped_digests
         with pytest.raises(RuntimeError):
             backend.submit_group(ExecuteUnitGroup(units=(unit,)))
@@ -676,6 +675,57 @@ class TestMissOnlyBlobProtocol:
             np.testing.assert_array_equal(vectors[0], reference[0])
             assert backend.blob_cache_misses == 1  # database was re-preloaded
             assert backend.resubmits == 1
+        finally:
+            backend.close()
+
+    def test_forced_resubmit_ships_every_blob_and_draws_like_inline(
+        self, domain, database, plan
+    ):
+        """After ``reset_resident_caches`` a two-member group misses one
+        digest; its resubmit carries all three distinct blobs — the missed
+        plan, the preloaded plan and the preloaded database, each once —
+        and draws exactly what the inline backend draws."""
+        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        late_plan = PlanCache().plan_for(
+            line_policy(domain), 0.25, prefer_data_dependent=False, consistency=False
+        )
+
+        def group(seed):
+            rngs = np.random.default_rng(seed).spawn(2)
+            return ExecuteUnitGroup(
+                units=tuple(
+                    ExecuteUnit(p, [identity_workload(domain)], database, rng)
+                    for p, rng in zip((late_plan, plan), rngs)
+                )
+            )
+
+        try:
+            run_alone(backend, self.make_unit(plan, domain, database, 1)[0])
+            run_alone(backend, self.make_unit(late_plan, domain, database, 2)[0])
+            before = backend.bytes_shipped
+            backend.submit_group(group(3)).result()  # digest-only
+            steady = backend.bytes_shipped - before
+            assert backend.reset_resident_caches() == 1
+            before, dispatches = backend.bytes_shipped, backend.dispatches
+            outcomes = backend.submit_group(group(3)).result()
+            blobs = sum(
+                len(entry[-1])
+                for entry in (
+                    backend._plan_blobs.get(late_plan.key),
+                    backend._plan_blobs.get(plan.key),
+                    backend._db_blobs.get(id(database)),
+                )
+            )
+            assert backend.bytes_shipped - before == 2 * steady + blobs
+            assert backend.dispatches == dispatches + 1
+            assert backend.resubmits == 1
+            assert backend.blob_cache_misses == 1
+            inline = INLINE_BACKEND.submit_group(group(3)).result()
+            assert [o[0] for o in outcomes] == ["ok", "ok"]
+            for got, expected in zip(outcomes, inline):
+                assert [v.tobytes() for v in got[1]] == [
+                    v.tobytes() for v in expected[1]
+                ]
         finally:
             backend.close()
 

@@ -28,6 +28,7 @@ from repro.engine import (
     SERVING_FAULT_POINTS,
     FaultInjector,
     PrivateQueryEngine,
+    parallel,
     recover_accountant,
 )
 from repro.engine.serving import AdmissionController, create_app
@@ -272,7 +273,7 @@ class TestLedgerFaults:
 
 class TestWorkerKill:
     def test_kill_worker_mid_serving_rolls_back_then_recovers(
-        self, database, domain
+        self, database, domain, monkeypatch
     ):
         """SIGKILLing a worker under live traffic: rollback, respawn, serve."""
         engine = build_engine(
@@ -282,7 +283,7 @@ class TestWorkerKill:
             execute_workers=2,
             execute_backend="process",
         )
-        engine._execute_backend._respawn_backoff = 0.01
+        monkeypatch.setattr(parallel, "RESPAWN_BACKOFF", 0.01)
         engine.open_session("alice", 50.0)
         app = create_app(engine, max_batch_size=1000, max_delay=60.0,
                          enable_chaos=True)
