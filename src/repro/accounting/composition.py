@@ -9,9 +9,13 @@ The Section 5 strategies rely on two composition facts:
   data (disjoint groups of policy edges in the transformed domain) each enjoy
   the full budget (used by every per-line / per-group strategy).
 
-:class:`PrivacyAccountant` is a small bookkeeping helper that the experiment
-harness and the planner use to make the budget arithmetic explicit and
-testable.
+:class:`PrivacyAccountant` is the engine's ε-ledger: every session's scoped
+ledger and the engine's global one are accountants, and every flush charges
+them under the narrowed accountant lock.  It keeps the composition of its
+ledger as running state, so a charge costs O(1) amortised (O(|partition|)
+for a partitioned one) however long the ledger has grown.
+:meth:`PrivacyAccountant._spent_with` recomposes a whole list from scratch;
+it is the oracle the running state is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import PrivacyBudgetError
 
@@ -31,6 +36,23 @@ class BudgetedOperation:
     label: str
     epsilon: float
     partition: Optional[frozenset] = None
+
+
+class _OverlapClass:
+    """One overlap class of partitioned operations (running state).
+
+    ``keys`` is the union of its operations' partitions, ``cost`` their
+    composed ε, and ``order`` the position at which
+    :meth:`PrivacyAccountant._spent_with`'s group list last (re)appended the
+    class — the order in which a later merge must add the costs.
+    """
+
+    __slots__ = ("keys", "cost", "order")
+
+    def __init__(self) -> None:
+        self.keys: Set = set()
+        self.cost = 0.0
+        self.order = 0
 
 
 @dataclass
@@ -48,6 +70,34 @@ class PrivacyAccountant:
     e.g. edge-group identifiers) compose in parallel with other operations
     whose partitions are disjoint; operations without a partition compose
     sequentially with everything.
+
+    **Running state.**  ``operations`` is the ledger, in append order.  Next
+    to it the accountant keeps the ledger's composition folded into running
+    state: the sequential sum, the partition overlap classes (with their
+    costs, their group-list order and a key → class index) and the running
+    maximum over class costs.  The invariant, checked after every step by
+    the property tests, is ``spent() == _spent_with(operations)`` *exactly*
+    (``==``, not approximately).  Costs:
+
+    * :meth:`charge` and :meth:`can_charge` fold the new operation into a
+      projection of the state — O(1) for a sequential operation,
+      O(|partition|) for a partitioned one — and only a charge that passes
+      every check (budget, durable append) commits it;
+    * :meth:`spent` and :meth:`remaining` read the state in O(1);
+    * :meth:`rollback`, :meth:`ScopedAccountant.close`'s reservation rewrite
+      and durable recovery rewrite the ledger and rebuild the state through
+      one O(n) replay.  They are rare (a mechanism failed before release, a
+      session closed, a process booted); nothing else mutates
+      ``operations``.
+
+    The order of float additions is fixed because float addition does not
+    associate: the state must add the same numbers in the same order as
+    :meth:`_spent_with`, or ``spent`` (and with it every audit event and
+    every budget-edge refusal) could move by an ulp.  The sequential sum is
+    a running ``+=`` in append order; a merging charge adds the merged
+    classes' costs in group-list order; the parallel term is
+    ``max(old_max, merged_cost)``, which is exact because costs are
+    positive.
 
     The ledger is protected by its own re-entrant ``lock``: :meth:`charge` is
     check-then-append, so unsynchronised concurrent charges could overspend.
@@ -88,6 +138,7 @@ class PrivacyAccountant:
             raise PrivacyBudgetError(
                 f"total_epsilon must be positive and finite, got {self.total_epsilon}"
             )
+        self._replay(self.operations)
 
     def charge(
         self,
@@ -116,7 +167,8 @@ class PrivacyAccountant:
             operation = BudgetedOperation(
                 label=label, epsilon=float(epsilon), partition=frozen
             )
-            projected = self._spent_with(self.operations + [operation])
+            fold = self._fold(operation)
+            projected = fold[0] + fold[1]
             if projected > self.total_epsilon * (1 + 1e-12):
                 raise PrivacyBudgetError(
                     f"Charging {epsilon} for {label!r} would exceed the total budget "
@@ -137,9 +189,10 @@ class PrivacyAccountant:
                         f"failed ({exc}); admitting it would risk "
                         "under-counting spent budget after a crash"
                     ) from exc
+            self._commit(operation, fold)
             if self.audit is not None:
-                # ``projected`` composed exactly the ledger as it now stands
-                # (same operations, same order), so it is the spend to report.
+                # ``projected`` is the committed state's spend: the ledger
+                # as it now stands.
                 self.audit.emit(
                     "charge",
                     label=label,
@@ -159,15 +212,16 @@ class PrivacyAccountant:
         found and removed.
         """
         with self.lock:
-            for index, candidate in enumerate(self.operations):
+            operations = self.operations
+            for index, candidate in enumerate(operations):
                 if candidate is operation:
-                    del self.operations[index]
+                    self._replay(operations[:index] + operations[index + 1 :])
                     if self.durable is not None:
                         # Best-effort durable delete: a failure leaves the
                         # store over-counting, which the invariant allows.
                         self.durable.record_rollback(operation)
                     if self.audit is not None:
-                        spent = self._spent_with(self.operations)
+                        spent = self.spent()
                         self.audit.emit(
                             "rollback",
                             label=operation.label,
@@ -181,7 +235,7 @@ class PrivacyAccountant:
     def spent(self) -> float:
         """Total budget consumed so far under the composition rules."""
         with self.lock:
-            return self._spent_with(self.operations)
+            return self._sequential + self._parallel
 
     def remaining(self) -> float:
         """Budget still available."""
@@ -194,8 +248,8 @@ class PrivacyAccountant:
         frozen = None if partition is None else frozenset(partition)
         operation = BudgetedOperation(label="?", epsilon=float(epsilon), partition=frozen)
         with self.lock:
-            projected = self._spent_with(self.operations + [operation])
-        return projected <= self.total_epsilon * (1 + 1e-12)
+            sequential, parallel, _, _ = self._fold(operation)
+        return sequential + parallel <= self.total_epsilon * (1 + 1e-12)
 
     def open_scope(self, label: str, epsilon: float) -> "ScopedAccountant":
         """Reserve ``epsilon`` for a sub-accountant (e.g. one client session).
@@ -256,20 +310,88 @@ class PrivacyAccountant:
         _, state = recover_accountant(path, audit=audit)
         return state.accountant
 
+    def _fold(self, operation: BudgetedOperation) -> tuple:
+        """Project ``operation`` onto the running state without committing it.
+
+        Returns ``(sequential, parallel, merged, cost)``: the two terms of
+        :meth:`spent` with the operation folded in and, for a partitioned
+        operation, the classes it merges (in group-list order) and the cost
+        of the class they merge into.  O(1) for a sequential operation,
+        O(|partition|) for a partitioned one.
+        """
+        if operation.partition is None:
+            return self._sequential + operation.epsilon, self._parallel, None, 0.0
+        class_of = self._class_of
+        touched = {}
+        for key in operation.partition:
+            overlap = class_of.get(key)
+            if overlap is not None:
+                touched[id(overlap)] = overlap
+        merged = sorted(touched.values(), key=attrgetter("order"))
+        cost = operation.epsilon
+        for overlap in merged:
+            cost += overlap.cost
+        return self._sequential, max(self._parallel, cost), merged, cost
+
+    def _commit(self, operation: BudgetedOperation, fold: tuple) -> None:
+        """Make a :meth:`_fold` projection of ``operation`` the running state."""
+        self._sequential, self._parallel, merged, cost = fold
+        if merged is None:
+            return
+        # Union by size: the largest merged class absorbs the others, so a
+        # key is re-pointed O(log n) times over the ledger's whole life.
+        target = max(merged, key=lambda overlap: len(overlap.keys), default=None)
+        if target is None:
+            target = _OverlapClass()
+        class_of = self._class_of
+        for overlap in merged:
+            if overlap is not target:
+                target.keys |= overlap.keys
+                for key in overlap.keys:
+                    class_of[key] = target
+        for key in operation.partition:
+            class_of[key] = target
+        target.keys.update(operation.partition)
+        target.cost = cost
+        target.order = self._appends
+        self._appends += 1
+
+    def _replay(self, operations: List[BudgetedOperation]) -> None:
+        """Make ``operations`` the ledger and rebuild the running state.
+
+        O(n): the one path for whole-ledger rewrites — :meth:`rollback`,
+        :meth:`ScopedAccountant.close`'s reservation rewrite and durable
+        recovery.  The ledger list is updated in place.
+        """
+        self.operations[:] = operations
+        self._sequential = 0.0
+        self._parallel = 0.0
+        self._class_of: Dict[Hashable, _OverlapClass] = {}
+        self._appends = 0
+        for operation in self.operations:
+            self._commit(operation, self._fold(operation))
+
     @staticmethod
     def _spent_with(operations: List[BudgetedOperation]) -> float:
-        """Composition cost of a list of operations.
+        """Composition cost of a list of operations, recomposed from scratch.
 
         Sequential operations (no partition) always add up.  Partitioned
         operations are grouped greedily: operations whose partitions overlap
         add up, disjoint ones take the maximum.  The computation is
         conservative (never underestimates the true composition cost).
+
+        This is the oracle for the accountant's running state, so the
+        sequential sum is an explicit left-to-right loop: from Python 3.12
+        ``sum()`` over floats is compensated and would no longer equal a
+        running ``+=``.
         """
-        sequential = sum(op.epsilon for op in operations if op.partition is None)
-        partitioned = [op for op in operations if op.partition is not None]
+        sequential = 0.0
         # Group partitioned operations into overlap classes.
         groups: List[Tuple[Set, float]] = []
-        for op in partitioned:
+        for op in operations:
+            if op.partition is None:
+                sequential += op.epsilon
+                continue
             merged_keys: Set = set(op.partition)
             merged_cost = op.epsilon
             remaining_groups: List[Tuple[Set, float]] = []
@@ -315,14 +437,21 @@ class ScopedAccountant(PrivacyAccountant):
             refund = self.remaining()
             actually_spent = self.spent()
             if self.parent is not None and refund > 0:
-                for index, operation in enumerate(self.parent.operations):
+                ledger = self.parent.operations
+                for index, operation in enumerate(ledger):
                     if operation is self.reservation:
+                        rewritten = []
                         if actually_spent > 0:
-                            self.parent.operations[index] = BudgetedOperation(
-                                label=self.label, epsilon=actually_spent, partition=None
+                            rewritten.append(
+                                BudgetedOperation(
+                                    label=self.label,
+                                    epsilon=actually_spent,
+                                    partition=None,
+                                )
                             )
-                        else:
-                            del self.parent.operations[index]
+                        self.parent._replay(
+                            ledger[:index] + rewritten + ledger[index + 1 :]
+                        )
                         break
             refunded = max(refund, 0.0)
             if self.durable is not None:

@@ -390,6 +390,7 @@ class LedgerStore:
         # Global ops replay in append order; ops of *closed* scopes are
         # skipped — their spend was folded into the parent's rewritten
         # reservation at close time, exactly like the in-memory path.
+        global_ops: List[BudgetedOperation] = []
         by_rowid: Dict[int, BudgetedOperation] = {}
         per_scope_ops: Dict[int, List[Tuple[int, BudgetedOperation]]] = {}
         for op_id, scope_id, label, epsilon, partition in op_rows:
@@ -401,7 +402,7 @@ class LedgerStore:
                 partition=_decode_partition(partition),
             )
             if scope_id is None:
-                accountant.operations.append(operation)
+                global_ops.append(operation)
                 binding._remember(operation, op_id)
                 by_rowid[op_id] = operation
             else:
@@ -417,7 +418,7 @@ class LedgerStore:
                 # reservation so the parent keeps the full allotment charged.
                 reservation = BudgetedOperation(label=label, epsilon=float(epsilon))
                 rowid = self._append_op(None, label, float(epsilon), None)
-                accountant.operations.append(reservation)
+                global_ops.append(reservation)
                 binding._remember(reservation, rowid)
             child_binding = _DurableBinding(self, scope_id)
             scoped = ScopedAccountant(
@@ -429,10 +430,14 @@ class LedgerStore:
                 reservation=reservation,
             )
             scoped.durable = child_binding
-            for op_id, operation in per_scope_ops.get(scope_id, []):
-                scoped.operations.append(operation)
+            scope_ops = per_scope_ops.get(scope_id, [])
+            for op_id, operation in scope_ops:
                 child_binding._remember(operation, op_id)
+            scoped._replay([operation for _, operation in scope_ops])
             scopes.append(RecoveredScope(scope_id, label, scoped))
+        # One replay per ledger rebuilds each accountant's running
+        # composition state from the recovered operations.
+        accountant._replay(global_ops)
 
         return RecoveredState(
             total_epsilon=stored_total, accountant=accountant, scopes=scopes

@@ -29,7 +29,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import IO, Iterator, List, Optional, Union
+from typing import IO, List, Optional, Union
 
 __all__ = ["AuditLog", "read_audit_events"]
 
@@ -191,7 +191,3 @@ def read_audit_events(path: str, strict: bool = False) -> List[dict]:
             ) from exc
     return events
 
-
-def iter_audit_events(path: str) -> Iterator[dict]:
-    """Iterate a JSONL audit stream with the same torn-tail tolerance."""
-    yield from read_audit_events(path)

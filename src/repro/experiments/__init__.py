@@ -14,7 +14,6 @@ from .figure8 import (
     range1d_algorithms,
     range1d_theta_algorithms,
     range2d_algorithms,
-    run_all_panels,
     run_hist_experiment,
     run_range1d_experiment,
     run_range1d_theta_experiment,
@@ -54,7 +53,6 @@ __all__ = [
     "range2d_algorithms",
     "render_results",
     "results_by_algorithm",
-    "run_all_panels",
     "run_comparison",
     "run_figure10a",
     "run_figure10b",

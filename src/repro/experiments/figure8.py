@@ -22,7 +22,7 @@ parameter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..blowfish.algorithms import (
     NamedAlgorithm,
@@ -218,36 +218,3 @@ def run_range2d_experiment(
         )
     return results
 
-
-def run_all_panels(
-    epsilon: float,
-    trials: int = 3,
-    num_queries: int = 500,
-    random_state: RandomState = 0,
-    datasets_1d: Sequence[str] = ("B", "D", "F"),
-    datasets_2d: Sequence[str] = ("T25", "T50"),
-    theta_domain_sizes: Sequence[int] = (512, 1024),
-) -> Dict[str, List[ComparisonResult]]:
-    """Run a reduced version of every Figure 8/9 panel for one ε.
-
-    The defaults keep the total runtime to a couple of minutes; the individual
-    runners accept the paper's full parameters when a complete reproduction is
-    desired.
-    """
-    return {
-        "2D-Range": run_range2d_experiment(
-            epsilon, datasets=datasets_2d, num_queries=num_queries, trials=trials,
-            random_state=random_state,
-        ),
-        "Hist": run_hist_experiment(
-            epsilon, datasets=datasets_1d, trials=trials, random_state=random_state
-        ),
-        "1D-Range": run_range1d_experiment(
-            epsilon, datasets=datasets_1d, num_queries=num_queries, trials=trials,
-            random_state=random_state,
-        ),
-        "1D-Range-theta": run_range1d_theta_experiment(
-            epsilon, domain_sizes=theta_domain_sizes, num_queries=num_queries,
-            trials=trials, random_state=random_state,
-        ),
-    }

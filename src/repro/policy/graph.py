@@ -77,6 +77,11 @@ def _canonical_edge(u: Vertex, v: Vertex) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def _edge_key(a: Vertex, b: Vertex) -> FrozenSet:
+    """The membership key of the canonical edge ``(a, b)``."""
+    return frozenset((("bottom",) if is_bottom(a) else a, ("bottom",) if is_bottom(b) else b))
+
+
 class PolicyGraph:
     """A Blowfish policy graph over a :class:`~repro.core.domain.Domain`.
 
@@ -106,6 +111,19 @@ class PolicyGraph:
         for u, v in edges:
             self._add_edge(u, v)
 
+    # ------------------------------------------------------------- pickling
+    def __getstate__(self) -> dict:
+        # The edge set pickles in hash order, which varies with
+        # PYTHONHASHSEED; leave it out so equal graphs pickle to equal bytes
+        # in every process, and rebuild it from the ordered edge list.
+        state = self.__dict__.copy()
+        del state["_edge_set"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._edge_set = {_edge_key(a, b) for a, b in self._edges}
+
     # -------------------------------------------------------------- mutation
     def _add_edge(self, u: Vertex, v: Vertex) -> None:
         edge = _canonical_edge(u, v)
@@ -115,7 +133,7 @@ class PolicyGraph:
                 raise PolicyError(
                     f"Vertex {endpoint} is outside the domain of size {self._domain.size}"
                 )
-        key = frozenset((("bottom",) if is_bottom(a) else a, ("bottom",) if is_bottom(b) else b))
+        key = _edge_key(a, b)
         if key in self._edge_set:
             return  # ignore duplicate edges silently; the graph is simple
         index = len(self._edges)
@@ -172,9 +190,7 @@ class PolicyGraph:
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Return ``True`` when the (undirected) edge ``(u, v)`` is in the policy."""
-        a, b = _canonical_edge(u, v)
-        key = frozenset((("bottom",) if is_bottom(a) else a, ("bottom",) if is_bottom(b) else b))
-        return key in self._edge_set
+        return _edge_key(*_canonical_edge(u, v)) in self._edge_set
 
     def edge_index(self, u: Vertex, v: Vertex) -> int:
         """Return the column index of edge ``(u, v)`` in ``P_G``."""

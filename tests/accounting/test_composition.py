@@ -100,19 +100,35 @@ class RecordingAudit:
 
 
 class TestAuditedCharge:
-    def test_one_composition_per_audited_charge(self, monkeypatch):
+    def test_charges_never_recompose_the_ledger(self, monkeypatch):
+        # A charge folds into running state: 10,000 sequential and 1,000
+        # partitioned charges make zero full recompositions, and each audit
+        # event still reports exactly the oracle's spend.  A full check is
+        # O(n), so it runs after every one of the first 1,100 charges and
+        # after every 100th one from there on.
+        oracle = PrivacyAccountant._spent_with
         calls = []
-        original = PrivacyAccountant._spent_with
 
         def counting(operations):
             calls.append(len(operations))
-            return original(operations)
+            return oracle(operations)
 
         monkeypatch.setattr(PrivacyAccountant, "_spent_with", staticmethod(counting))
-        accountant = PrivacyAccountant(10.0, audit=RecordingAudit())
-        accountant.charge("first", 1.0)
-        accountant.charge("second", 0.5, partition=[1, 2])
-        assert calls == [1, 2]
+        rng = random.Random(0)
+        audit = RecordingAudit()
+        accountant = PrivacyAccountant(1e6, audit=audit)
+        for index in range(11_000):
+            partition = None
+            if index % 11 == 10:
+                # Keys from a small universe: classes both merge and stay apart.
+                partition = rng.sample(range(40), rng.randint(1, 4))
+            accountant.charge(f"q{index}", rng.uniform(1e-4, 1e-2), partition)
+            event, fields = audit.events[-1]
+            assert event == "charge"
+            if index < 1_100 or index % 100 == 99:
+                assert fields["spent"] == oracle(accountant.operations)
+        assert calls == []
+        assert fields["spent"] == accountant.spent() == oracle(accountant.operations)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_audited_spend_is_exactly_the_ledger_spend(self, seed):

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import Database, Domain
 from repro.policy import grid_policy, line_policy, threshold_policy
+
+# Tier-1 must be deterministic on any host: property tests draw the same
+# examples on every run and keep no example database between runs.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -9,7 +9,10 @@ given the same seed draws the same noise.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -32,6 +35,36 @@ def domain() -> Domain:
 @pytest.fixture
 def database(domain: Domain) -> Database:
     return Database(domain, np.arange(24, dtype=float), name="ramp24")
+
+
+#: Child script: print one sha256 per pickled plan (line, θ-threshold and
+#: both shards of a two-component policy), on the Laplace and DAWA routes.
+DIGEST_CHILD = """
+import hashlib, pickle
+import numpy as np
+from repro.core import Database, Domain
+from repro.engine import PlanCache, ShardSet
+from repro.policy import PolicyGraph, line_policy, threshold_policy
+
+domain = Domain((64,))
+split = PolicyGraph(
+    domain,
+    [(i, i + 1) for i in range(31)] + [(i, i + 1) for i in range(32, 63)],
+    name="two-components",
+)
+shards = ShardSet.build(split, Database(domain, np.arange(64.0))).shards
+policies = [line_policy(domain), threshold_policy(domain, 4)]
+policies += [shard.policy for shard in shards]
+for data_dependent in (False, True):
+    cache = PlanCache()
+    for policy in policies:
+        plan = cache.plan_for(
+            policy, 0.5, prefer_data_dependent=data_dependent,
+            consistency=data_dependent,
+        ).plan
+        blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+        print(hashlib.sha256(blob).hexdigest())
+"""
 
 
 def roundtrip(obj):
@@ -196,3 +229,25 @@ class TestShardingRoundTrips:
         assert scatter is not None and len(scatter.pieces) == 2
         spanning = Workload(domain, np.ones((1, domain.size)), name="spanning")
         assert clone.scatter(spanning) is None
+
+
+class TestHashSeedIndependence:
+    def test_plans_pickle_to_the_same_bytes_under_any_hash_seed(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        digests = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.path.join(root, "src") + (
+                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", DIGEST_CHILD],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.split())
+        assert len(digests[0]) == 8
+        assert digests[0] == digests[1]
