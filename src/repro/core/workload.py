@@ -492,11 +492,6 @@ class LRUMemo:
                 self._entries.popitem(last=False)
         return value
 
-    def values(self) -> List[object]:
-        """A snapshot of the memoised values, least recent first."""
-        with self._lock:
-            return list(self._entries.values())
-
     def clear(self) -> None:
         """Drop every memoised value."""
         with self._lock:

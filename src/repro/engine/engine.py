@@ -261,7 +261,11 @@ class PrivateQueryEngine:
         concurrently; when a flush holds more units than workers,
         compatible units (same planner config and noise flag) share one
         dispatch, one pickle and IPC round trip for several kernels.
-        ``None`` or ≤ 1 executes inline on the flushing thread.
+        ``None`` or ≤ 1 executes inline on the flushing thread, and a flush
+        of a single unit always runs inline.  Measured trade-off: on a
+        2-core host, the 2-worker process backend lost to inline on
+        perfbench's sharded-process set-up in 5 of 5 seeds (inline had
+        13–47 % more throughput); hosts with ≥ 4 cores are unmeasured.
     execute_backend:
         ``"process"`` (default) or ``"inline"`` (never a pool, whatever
         ``execute_workers`` says); anything else raises ``ValueError``.
@@ -275,9 +279,12 @@ class PrivateQueryEngine:
         applies: a *script* that builds a process-backed engine at module
         level must guard it with ``if __name__ == "__main__":`` — spawned
         workers re-import the main module, and an unguarded script would
-        recurse.  (A worker crash is contained either way: the affected
-        batch's charges roll back and its tickets refuse with a clear
-        error.)
+        recurse.  A worker that dies — mid-kernel or before it finished
+        starting — breaks the pool: the affected batch's charges roll back
+        and its tickets refuse with
+        :class:`~repro.exceptions.ReleaseFailedError`.  A broken pool is
+        respawned at most ``parallel.RESPAWN_BUDGET`` times; after that
+        every unit runs inline.
     observability:
         Optional :class:`~repro.engine.observability.Observability` hub.
         When omitted, a **disabled** hub is built: aggregate counters still
@@ -447,9 +454,6 @@ class PrivateQueryEngine:
         self._execute_backend = create_execute_backend(
             execute_backend,
             0 if execute_workers is None else int(execute_workers),
-            # Worker processes preload the served database through the pool
-            # initializer, so it never crosses the pipe per dispatch.
-            preload=(database,),
             metrics=obs.metrics if obs.enabled else None,
         )
         # Final telemetry snapshot captured by close() so stats keep

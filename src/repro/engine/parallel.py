@@ -22,11 +22,11 @@ process round trip byte-identically):
   and closed engines fall back to it.
 * :class:`ProcessExecuteBackend` — a ``ProcessPoolExecutor`` speaking a
   **miss-only blob protocol**: plans and databases are addressed by content
-  digest, workers hold a digest-keyed *resident cache* (preloaded through
-  the pool initializer with the engine database and every plan known at
-  pool start), and a steady-state dispatch ships only ``(digest, digest,
-  workloads + RNG child)`` per member — never the blobs themselves.  A
-  worker that lacks a digest (fresh plan raced to a cold worker, or a
+  digest, workers start with an empty digest-keyed *resident cache* that
+  the protocol itself fills, and a steady-state dispatch ships only
+  ``(digest, digest, workloads + RNG child)`` per member — never the blobs
+  themselves.  The first dispatch of a digest carries its blob; a worker
+  that still lacks a digest (a blob that landed on another worker, or a
   respawned worker that lost its cache) answers with a miss sentinel and
   the parent resubmits that one group with the full blobs, which also
   repopulates the worker.  First dispatches and resubmits serialise, count
@@ -54,9 +54,11 @@ Worker processes use the ``spawn`` start method (:data:`START_METHOD`):
 ``fork`` from an engine that already runs flusher/worker threads can clone
 held locks into the child.  Spawned workers import the library once
 (~0.5 s) and then persist across flushes; the pool itself is created lazily
-on first dispatch so its initializer can preload everything the backend has
-seen by then.  A broken pool is replaced at most :data:`RESPAWN_BUDGET`
-times; after that every unit runs inline.
+on first dispatch, so an engine that never earns a multi-unit dispatch never
+spawns workers.  A worker's start-up payload carries no blobs, so a worker
+that dies before reading it cannot block the parent: the pool breaks, the
+dispatch fails closed (its batch rolls back), and a broken pool is replaced
+at most :data:`RESPAWN_BUDGET` times; after that every unit runs inline.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -357,10 +359,6 @@ def execute_groups(
 #: (workload transforms, Gram factorisation) stay warm from then on.
 _WORKER_RESIDENT = LRUMemo(maxsize=128)
 
-#: The preload the pool initializer ran with — kept so a simulated respawn
-#: (:func:`_reset_worker_resident`) restores exactly the initializer state.
-_WORKER_PRELOAD: List[Tuple[str, bytes]] = []
-
 
 def _pickled(obj: object) -> Tuple[str, bytes]:
     """``(content digest, pickle)``: how ``obj`` crosses the process boundary."""
@@ -380,28 +378,14 @@ class _BlobMiss:
     missing: Tuple[str, ...]
 
 
-def _preload_worker(resident: List[Tuple[str, bytes]]) -> None:
-    """Pool initializer: make every ``(digest, blob)`` pair resident.
-
-    Every worker the pool ever spawns — including respawns after a crash —
-    runs this with the same arguments, so the engine database and the plans
-    known at pool creation are *always* resident and can never miss.
-    """
-    global _WORKER_PRELOAD
-    _WORKER_PRELOAD = list(resident)
-    _WORKER_RESIDENT.clear()
-    for digest, blob in resident:
-        _WORKER_RESIDENT.put(digest, pickle.loads(blob))
-
-
 def _reset_worker_resident() -> bool:
-    """Drop this worker's resident cache and re-run its preload.
+    """Drop this worker's resident cache.
 
-    Test/benchmark hook simulating a worker respawn (a real respawn re-runs
-    :func:`_preload_worker` and loses everything shipped since) without the
-    platform-dependent machinery of actually killing the process.
+    Test/benchmark hook simulating a worker respawn (a real respawn starts
+    empty and loses everything shipped since) without the platform-dependent
+    machinery of actually killing the process.
     """
-    _preload_worker(_WORKER_PRELOAD)
+    _WORKER_RESIDENT.clear()
     return True
 
 
@@ -555,20 +539,17 @@ class ProcessExecuteBackend:
     """Execute unit groups on a ``ProcessPoolExecutor`` — real multi-core execution.
 
     Dispatches speak the **miss-only blob protocol**: plans and databases
-    cross the pipe as content digests, not blobs.  Workers keep a
-    digest-keyed resident cache, preloaded through the pool initializer
-    with the ``preload`` databases plus every plan blob memoised before the
-    pool starts (the pool is created lazily on the first dispatch, so the
-    first group's plans are always preloaded).  A blob first seen *after*
-    pool creation is shipped eagerly exactly once — it lands on one worker;
+    cross the pipe as content digests, not blobs.  Workers start with an
+    empty digest-keyed resident cache.  A blob is shipped eagerly on the
+    first dispatch that needs it, exactly once — it lands on one worker;
     any other worker that draws a later digest-only dispatch answers with a
     miss sentinel and the parent resubmits that one group with full blobs
     (also how a respawned worker repopulates).  Steady state therefore
     ships only the workloads and the RNG children.
 
-    A worker pool that breaks (a worker OOM-killed or SIGKILLed) is
-    replaced by a fresh one — re-preloading the memoised blobs through the
-    pool initializer — up to :data:`RESPAWN_BUDGET` times, each after
+    A worker pool that breaks (a worker OOM-killed or SIGKILLed, or dead
+    before it finished starting) is replaced by a fresh, empty one up to
+    :data:`RESPAWN_BUDGET` times, each after
     :data:`RESPAWN_BACKOFF` seconds scaled by the attempt number, so a crash
     loop cannot hot-spin worker spawns.  Past the budget the backend stops
     building pools and every unit runs inline on the flushing thread,
@@ -581,10 +562,6 @@ class ProcessExecuteBackend:
     ----------
     max_workers:
         Worker-process count (started with :data:`START_METHOD`).
-    preload:
-        Databases every worker must hold resident from birth (the engine
-        passes the one it serves).  Pickled at pool creation; respawned
-        workers re-run the initializer, so preloaded digests can never miss.
     metrics:
         Optional :class:`~repro.engine.observability.MetricsRegistry`;
         when set, each dispatch and resubmit feeds bytes-shipped and
@@ -597,7 +574,6 @@ class ProcessExecuteBackend:
     def __init__(
         self,
         max_workers: int,
-        preload: Sequence[Database] = (),
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._max_workers = int(max_workers)
@@ -617,12 +593,12 @@ class ProcessExecuteBackend:
         else:
             self._h_bytes = None
             self._h_serialization = None
-        # The pool is created lazily (first dispatch) so its initializer can
-        # preload everything memoised by then — see _ensure_pool.  A broken
-        # pool is retired and, while the respawn budget lasts, lazily
-        # replaced by the next _ensure_pool; once the budget is spent
-        # _ensure_pool raises RuntimeError, which the pipeline treats like
-        # an engine close: units run inline, permanently.
+        # The pool is created lazily (first dispatch), so a backend that
+        # never dispatches never spawns workers.  A broken pool is retired
+        # and, while the respawn budget lasts, lazily replaced by the next
+        # _ensure_pool; once the budget is spent _ensure_pool raises
+        # RuntimeError, which the pipeline treats like an engine close:
+        # units run inline, permanently.
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -632,7 +608,6 @@ class ProcessExecuteBackend:
         self._dispatches = 0
         self._serialization_seconds = 0.0
         self._bytes_shipped = 0
-        self._preload_bytes = 0
         self._blob_cache_misses = 0
         self._resubmits = 0
         # Parent-side memos of ``(digest, blob)`` pickles: a hot plan or
@@ -642,18 +617,12 @@ class ProcessExecuteBackend:
         # database, so its id() cannot be reused while the entry lives.
         self._plan_blobs = LRUMemo(maxsize=32)
         self._db_blobs = LRUMemo(maxsize=64)
-        #: Digests known to be resident somewhere in the pool: preloaded
-        #: into every worker, or eagerly shipped to one.  Digest-only
-        #: dispatches of anything else would miss deterministically, so the
-        #: first dispatch of a new digest always carries its blob.
+        #: Digests known to be resident somewhere in the pool: eagerly
+        #: shipped to one worker.  Digest-only dispatches of anything else
+        #: would miss deterministically, so the first dispatch of a new
+        #: digest always carries its blob.
         self._blob_lock = threading.Lock()
         self._shipped_digests: set = set()
-        #: Preload databases are pickled lazily at pool creation, not here —
-        #: an engine whose workload never earns a process dispatch must not
-        #: pay a full-histogram pickle at construction time (and when it is
-        #: paid, it is accounted in serialization_seconds like every other
-        #: parent-side pickle).
-        self._pending_preload: List[Database] = list(preload)
 
     # ------------------------------------------------------------- telemetry
     @property
@@ -673,16 +642,9 @@ class ProcessExecuteBackend:
     @property
     def bytes_shipped(self) -> int:
         """Total bytes handed to the pool across all dispatches and
-        resubmits (pool-initializer preload bytes are counted separately —
-        they are paid per worker spawn, not per dispatch)."""
+        resubmits."""
         with self._counter_lock:
             return self._bytes_shipped
-
-    @property
-    def preload_bytes(self) -> int:
-        """Bytes each spawned worker re-hydrates via the pool initializer."""
-        with self._counter_lock:
-            return self._preload_bytes
 
     @property
     def blob_cache_misses(self) -> int:
@@ -718,13 +680,7 @@ class ProcessExecuteBackend:
         return digest, blob
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The worker pool, created on first use.
-
-        Lazy creation is what makes the initializer useful: by the first
-        dispatch the blob memos already hold the engine database and the
-        first group's plans, so every worker the pool ever spawns —
-        including crash respawns — starts with them resident.
-        """
+        """The worker pool, created on first use (its workers start empty)."""
         with self._pool_lock:
             if self._closed:
                 raise RuntimeError("cannot schedule new futures after shutdown")
@@ -738,39 +694,10 @@ class ProcessExecuteBackend:
                     f"({RESPAWN_BUDGET}) is exhausted; executing inline"
                 )
             if self._pool is None:
-                self._materialise_preload()
-                resident = self._plan_blobs.values() + [
-                    (digest, blob) for _, digest, blob in self._db_blobs.values()
-                ]
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    mp_context=self._context,
-                    initializer=_preload_worker,
-                    initargs=(resident,),
+                    max_workers=self._max_workers, mp_context=self._context
                 )
-                preloaded = sum(len(blob) for _, blob in resident)
-                with self._counter_lock:
-                    self._preload_bytes = preloaded
-                with self._blob_lock:
-                    self._shipped_digests.update(digest for digest, _ in resident)
             return self._pool
-
-    def _materialise_preload(self) -> None:
-        """Pickle the still-pending preload databases into the blob memo.
-
-        Runs once, at pool creation (caller holds the pool lock).  A
-        preload database the first dispatch already memoised via
-        ``_db_entry`` is a no-op here — entries are keyed by object
-        identity, so nothing is pickled twice.
-        """
-        pending, self._pending_preload = self._pending_preload, []
-        if not pending:
-            return
-        started = time.perf_counter()
-        for database in pending:
-            self._db_entry(database)
-        with self._counter_lock:
-            self._serialization_seconds += time.perf_counter() - started
 
     def _note_broken_pool(self) -> None:
         """React to a ``BrokenExecutor``: retire the pool, maybe respawn.
@@ -779,9 +706,8 @@ class ProcessExecuteBackend:
         per *pool*, not once per failure: the first caller retires the pool
         (and pays the backoff); latecomers find it already gone and return.
         The retired workers took their resident blob caches with them, so
-        the shipped-digest memo is cleared — the next dispatch to a fresh
-        pool re-ships eagerly, and the pool initializer re-preloads every
-        memoised blob anyway.
+        the shipped-digest memo is cleared — the next dispatch to the fresh,
+        empty pool re-ships every blob it needs eagerly.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
@@ -807,6 +733,10 @@ class ProcessExecuteBackend:
                     RESPAWN_BUDGET,
                 )
         if pool is not None:
+            # Never wait: on CPython 3.10 the manager thread of a pool whose
+            # workers died holding an unread call item larger than the pipe
+            # blocks for good (gh-94777), and waiting would hang the flush.
+            # The thread reaps the dead workers itself on 3.11 and later.
             pool.shutdown(wait=False)
             with self._blob_lock:
                 self._shipped_digests.clear()
@@ -862,7 +792,6 @@ class ProcessExecuteBackend:
             with self._counter_lock:
                 self._resubmits += 1
                 self._blob_cache_misses += len(missing)
-        # After the memos above: pool creation snapshots them as the preload.
         pool = self._ensure_pool()
         if missing is None:
             with self._blob_lock:
@@ -957,11 +886,11 @@ class ProcessExecuteBackend:
 
     # -------------------------------------------------------------- lifecycle
     def reset_resident_caches(self) -> int:
-        """Drop worker resident caches back to their initializer preload.
+        """Empty the workers' resident caches.
 
         Test/benchmark hook simulating worker respawns (what really happens
-        after a crash): everything shipped since pool creation is forgotten
-        by the workers and must be recovered through the miss path — the
+        after a crash): everything shipped so far is forgotten by the
+        workers and must be recovered through the miss path — the
         parent, like with a real respawn, keeps dispatching digest-only
         until a miss corrects it.  One reset task is submitted per worker;
         an idle pool may run several on the same worker, so the simulation
@@ -988,7 +917,6 @@ class ProcessExecuteBackend:
         with self._pool_lock:
             self._closed = True
             pool, self._pool = self._pool, None
-            self._pending_preload.clear()
         if pool is not None:
             pool.shutdown(wait=wait)
         self._plan_blobs.clear()
@@ -1000,16 +928,15 @@ class ProcessExecuteBackend:
 def create_execute_backend(
     backend: str,
     max_workers: Optional[int],
-    preload: Sequence[Database] = (),
     metrics: Optional[MetricsRegistry] = None,
 ):
     """Build the execute backend the engine was configured with.
 
     ``backend`` is ``"inline"`` or ``"process"``.  Returns the shared
     :data:`INLINE_BACKEND` for ``"inline"`` or a ``max_workers`` of 1 or
-    less — the pipeline then executes on the flushing thread.  ``preload``
-    (the engine database) and ``metrics`` (per-dispatch bytes-shipped and
-    serialisation-time histograms) apply to the process backend.
+    less — the pipeline then executes on the flushing thread.  ``metrics``
+    (per-dispatch bytes-shipped and serialisation-time histograms) applies
+    to the process backend.
     """
     if backend not in ("inline", "process"):
         raise ValueError(
@@ -1017,8 +944,4 @@ def create_execute_backend(
         )
     if backend == "inline" or max_workers is None or int(max_workers) <= 1:
         return INLINE_BACKEND
-    return ProcessExecuteBackend(
-        max_workers=int(max_workers),
-        preload=preload,
-        metrics=metrics,
-    )
+    return ProcessExecuteBackend(max_workers=int(max_workers), metrics=metrics)

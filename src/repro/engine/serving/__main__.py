@@ -150,7 +150,13 @@ def main(argv=None) -> None:
         "--execute-backend",
         default=None,
         choices=("inline", "process"),
-        help="execute-stage backend (engine default when omitted)",
+        help=(
+            "execute-stage backend (engine default when omitted); on 2 "
+            "cores, 2 process workers lost to inline on perfbench's "
+            "sharded set-up in 5 of 5 seeds (inline had 13-47%% more "
+            "throughput), hosts with >= 4 cores are unmeasured, and a "
+            "flush of a single unit always runs inline"
+        ),
     )
     parser.add_argument(
         "--execute-workers",

@@ -302,7 +302,7 @@ class TestGroupPrimitives:
             (outcome,) = backend.submit_group(group).result()
             return outcome
 
-        backend = ProcessExecuteBackend(max_workers=2, preload=(database,))
+        backend = ProcessExecuteBackend(max_workers=2)
         try:
             handle = backend.submit_group(
                 ExecuteUnitGroup(units=(unit(11), unit(12)))
@@ -346,7 +346,7 @@ class TestWorkerStoreLocality:
         def alone(entry, seed):
             backend.submit_group(ExecuteUnitGroup(units=(unit(entry, seed),))).result()
 
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        backend = ProcessExecuteBackend(max_workers=1)
         try:
             alone(entries[0], 1)
             alone(entries[1], 2)

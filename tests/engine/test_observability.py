@@ -456,9 +456,7 @@ class TestProcessBackendSpans:
         # The reset hook is only deterministic on a single-worker pool
         # (see ProcessExecuteBackend.reset_resident_caches); swap one in.
         engine._execute_backend.close()
-        engine._execute_backend = ProcessExecuteBackend(
-            max_workers=1, preload=(database,)
-        )
+        engine._execute_backend = ProcessExecuteBackend(max_workers=1)
         with engine:
             engine.open_session("alice", 20.0)
             engine.submit("alice", identity_workload(domain), epsilon=0.5)
@@ -473,10 +471,10 @@ class TestProcessBackendSpans:
             units = {span.span_id: span for span in trace.find("unit")}
             misses = trace.find("blob-miss")
             workers = trace.find("worker")
-            # The first plan joined the pool-creation preload (it can never
-            # miss — the initializer re-runs on reset); the second plan was
-            # shipped later, so its digest-only dispatch fails exactly once.
-            assert len(misses) == 1
+            # The reset emptied the worker, so both units' digest-only
+            # dispatches (one per ε, each submitted before either resolves)
+            # miss exactly once.
+            assert len(misses) == 2
             # A recovered unit shows the failed digest-only hop AND the
             # successful worker execution under the same unit span.
             recovered = {span.parent_id for span in misses}
@@ -712,9 +710,7 @@ class TestDegradationLogging:
             database, domain, execute_workers=2, execute_backend="process"
         )
         engine._execute_backend.close()
-        engine._execute_backend = ProcessExecuteBackend(
-            max_workers=1, preload=(database,)
-        )
+        engine._execute_backend = ProcessExecuteBackend(max_workers=1)
         with engine:
             engine.open_session("alice", 20.0)
             engine.submit("alice", identity_workload(domain), epsilon=0.5)

@@ -503,7 +503,7 @@ class TestLifecycle:
     def test_close_clears_the_blob_memos(self, domain, database):
         """The db memo pins Database objects (and their histograms); both
         memos must empty on close instead of outliving the backend."""
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        backend = ProcessExecuteBackend(max_workers=1)
         cache = PlanCache()
         plan = cache.plan_for(
             line_policy(domain), 0.5, prefer_data_dependent=False, consistency=False
@@ -582,7 +582,7 @@ class TestMissOnlyBlobProtocol:
         return unit, reference_rng
 
     def test_steady_state_ships_only_the_payload(self, domain, database, plan):
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        backend = ProcessExecuteBackend(max_workers=1)
         try:
             unit, _ = self.make_unit(plan, domain, database, 1)
             run_alone(backend, unit)
@@ -590,15 +590,12 @@ class TestMissOnlyBlobProtocol:
             unit, _ = self.make_unit(plan, domain, database, 2)
             run_alone(backend, unit)
             steady = backend.bytes_shipped - first
-            # The pool was created lazily at the first dispatch, so plan and
-            # database were preloaded via the initializer: NO dispatch ever
-            # carried their blobs, and the steady-state payload is orders of
-            # magnitude below the plan pickle it no longer ships.
+            # The first dispatch carried the plan and database blobs; the
+            # second ships digests only, orders of magnitude below the plan
+            # pickle it no longer ships.
             plan_blob_bytes = len(pickle.dumps(plan))
             assert backend.blob_cache_misses == 0
-            assert backend.preload_bytes > 0
             assert steady < plan_blob_bytes / 2
-            assert abs(first - steady) < 1024  # first dispatch equally lean
         finally:
             backend.close()
 
@@ -631,7 +628,7 @@ class TestMissOnlyBlobProtocol:
                 want_noise=False,
             )
 
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        backend = ProcessExecuteBackend(max_workers=1)
         try:
             for seed in (1, 2):  # pool creation + parent-side memo fill
                 run_alone(backend, narrow_unit(seed))
@@ -648,14 +645,13 @@ class TestMissOnlyBlobProtocol:
     def test_respawned_worker_recovers_through_the_miss_path(
         self, domain, database, plan
     ):
-        """A plan shipped after pool creation is lost on respawn; the next
-        digest-only dispatch must miss, resubmit with blobs, and draw
-        exactly the noise the first attempt would have drawn."""
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        """Every shipped blob is lost on respawn; the next digest-only
+        dispatch must miss, resubmit with blobs, and draw exactly the noise
+        the first attempt would have drawn."""
+        backend = ProcessExecuteBackend(max_workers=1)
         try:
             warm_unit, _ = self.make_unit(plan, domain, database, 1)
             run_alone(backend, warm_unit)  # creates the pool
-            # Planned after pool creation → not in the initializer preload.
             late_plan = PlanCache().plan_for(
                 line_policy(domain),
                 0.25,
@@ -673,7 +669,7 @@ class TestMissOnlyBlobProtocol:
                 late_plan, unit.workloads, database, reference_rng
             )
             np.testing.assert_array_equal(vectors[0], reference[0])
-            assert backend.blob_cache_misses == 1  # database was re-preloaded
+            assert backend.blob_cache_misses == 2  # the plan and the database
             assert backend.resubmits == 1
         finally:
             backend.close()
@@ -681,11 +677,11 @@ class TestMissOnlyBlobProtocol:
     def test_forced_resubmit_ships_every_blob_and_draws_like_inline(
         self, domain, database, plan
     ):
-        """After ``reset_resident_caches`` a two-member group misses one
-        digest; its resubmit carries all three distinct blobs — the missed
-        plan, the preloaded plan and the preloaded database, each once —
-        and draws exactly what the inline backend draws."""
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        """After ``reset_resident_caches`` a two-member group misses all
+        three distinct digests; its resubmit carries all three blobs —
+        both plans and the database, each once — and draws exactly what the
+        inline backend draws."""
+        backend = ProcessExecuteBackend(max_workers=1)
         late_plan = PlanCache().plan_for(
             line_policy(domain), 0.25, prefer_data_dependent=False, consistency=False
         )
@@ -719,30 +715,13 @@ class TestMissOnlyBlobProtocol:
             assert backend.bytes_shipped - before == 2 * steady + blobs
             assert backend.dispatches == dispatches + 1
             assert backend.resubmits == 1
-            assert backend.blob_cache_misses == 1
+            assert backend.blob_cache_misses == 3
             inline = INLINE_BACKEND.submit_group(group(3)).result()
             assert [o[0] for o in outcomes] == ["ok", "ok"]
             for got, expected in zip(outcomes, inline):
                 assert [v.tobytes() for v in got[1]] == [
                     v.tobytes() for v in expected[1]
                 ]
-        finally:
-            backend.close()
-
-    def test_preloaded_database_survives_the_respawn(self, domain, database, plan):
-        """The initializer re-runs on respawn, so preloaded digests (the
-        engine database, pool-creation-time plans) can never miss."""
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
-        try:
-            unit, _ = self.make_unit(plan, domain, database, 1)
-            run_alone(backend, unit)
-            backend.reset_resident_caches()
-            unit, reference_rng = self.make_unit(plan, domain, database, 2)
-            vectors, _ = run_alone(backend, unit)
-            reference, _ = run_unit(plan, unit.workloads, database, reference_rng)
-            np.testing.assert_array_equal(vectors[0], reference[0])
-            assert backend.blob_cache_misses == 0
-            assert backend.resubmits == 0
         finally:
             backend.close()
 
@@ -775,7 +754,7 @@ class TestMissOnlyBlobProtocol:
     ):
         """The future-like handle must serve the recovered value on a second
         result() call instead of re-running the whole recovery."""
-        backend = ProcessExecuteBackend(max_workers=1, preload=(database,))
+        backend = ProcessExecuteBackend(max_workers=1)
         try:
             warm_unit, _ = self.make_unit(plan, domain, database, 1)
             run_alone(backend, warm_unit)
