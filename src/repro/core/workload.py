@@ -312,6 +312,93 @@ class Workload:
         label = f" name={self.name!r}" if self.name else ""
         return f"Workload(shape={self.shape}{label})"
 
+    # -------------------------------------------------------------- pickling
+    def __reduce__(self):
+        """Pickle interval rows as endpoints, anything else as CSR.
+
+        Range workloads are what a sharded engine ships to its worker
+        processes on every dispatch: a range row over ``k`` cells is two
+        integers, not ``k`` CSR nonzeros.  When every row is an interval
+        (see :func:`_interval_endpoints`) the matrix travels as int32
+        ``lo``/``hi`` arrays and is rebuilt bit-identically on load; any
+        other matrix pickles as CSR.  The choice is memoised like the
+        signature (the matrix never changes), so a batch shipped on every
+        dispatch scans its rows once.  The memoised signature rides along,
+        so the receiving side never re-hashes the matrix.  Pickles of the
+        plain dataclass (older stores) still load: they carry no reducer
+        and restore their ``__dict__`` directly.
+        """
+        matrix = self.__dict__.get("_pickled_matrix")
+        if matrix is None:
+            endpoints = _interval_endpoints(self.matrix)
+            matrix = self.matrix if endpoints is None else endpoints
+            object.__setattr__(self, "_pickled_matrix", matrix)
+        return (
+            _restore_workload,
+            (self.domain, matrix, self.name, self.__dict__.get("_signature")),
+        )
+
+
+def _interval_endpoints(
+    matrix: sp.csr_matrix,
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """``(lo, hi, columns)`` when every row of ``matrix`` is an interval.
+
+    An interval row's canonical CSR nonzeros are all exactly 1.0 over the
+    contiguous columns ``lo..hi``; an empty row has ``hi = lo - 1``.
+    Returns ``None`` for any other matrix — weighted, gapped, duplicated,
+    unsorted or explicit-zero rows, float data other than float64, and
+    index arrays other than int32 — which then pickles as CSR.
+    """
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    if (
+        indptr.dtype != np.int32
+        or indices.dtype != np.int32
+        or data.dtype != np.float64
+        or not matrix.has_canonical_format
+        or not bool(np.all(data == 1.0))
+    ):
+        return None
+    counts = np.diff(indptr)
+    lo = np.zeros(counts.shape[0], dtype=np.int32)
+    nonempty = counts > 0
+    lo[nonempty] = indices[indptr[:-1][nonempty]]
+    hi = lo + counts - 1
+    # Canonical rows are sorted and duplicate-free, so a row is contiguous
+    # exactly when its last column sits count - 1 past its first.
+    if not bool(np.all(indices[indptr[1:][nonempty] - 1] == hi[nonempty])):
+        return None
+    return lo, hi, int(matrix.shape[1])
+
+
+def _interval_csr(lo: np.ndarray, hi: np.ndarray, columns: int) -> sp.csr_matrix:
+    """Rebuild the canonical CSR matrix of interval rows ``lo..hi``."""
+    counts = hi - lo + 1
+    indptr = np.zeros(counts.shape[0] + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.arange(indptr[-1], dtype=np.int32) - np.repeat(
+        indptr[:-1] - lo, counts
+    )
+    matrix = sp.csr_matrix(
+        (np.ones(indices.shape[0]), indices, indptr), shape=(counts.shape[0], columns)
+    )
+    matrix.has_canonical_format = True
+    return matrix
+
+
+def _restore_workload(
+    domain: Domain, matrix, name: str, signature: Optional[str]
+) -> Workload:
+    """Unpickle a :class:`Workload` (see :meth:`Workload.__reduce__`)."""
+    workload = object.__new__(Workload)
+    state = workload.__dict__
+    state["domain"] = domain
+    state["matrix"] = matrix if sp.issparse(matrix) else _interval_csr(*matrix)
+    state["name"] = name
+    if signature is not None:
+        state["_signature"] = signature
+    return workload
+
 
 # ---------------------------------------------------------------------------
 # Named constructors used throughout the paper.
@@ -379,10 +466,13 @@ def stack_workloads(
     batched answer vector can be split back into per-workload answers.  This is
     the vectorised entry point used by the batch executor of
     :mod:`repro.engine`: answering the stacked workload runs each mechanism
-    exactly once instead of once per client query.
+    exactly once instead of once per client query.  A lone workload is its
+    own stack (returned as is, no copy).
     """
     if not workloads:
         raise WorkloadError("At least one workload is required to stack")
+    if len(workloads) == 1:
+        return workloads[0], [slice(0, workloads[0].num_queries)]
     domain = workloads[0].domain
     slices: List[slice] = []
     start = 0

@@ -90,6 +90,7 @@ from .pipeline import (
     EXPIRED,
     PENDING,
     REFUSED,
+    STACK_MEMO_SIZE,
     STAGES,
     FlushPipeline,
     QueryTicket,
@@ -263,9 +264,11 @@ class PrivateQueryEngine:
         dispatch, one pickle and IPC round trip for several kernels.
         ``None`` or ≤ 1 executes inline on the flushing thread, and a flush
         of a single unit always runs inline.  Measured trade-off: on a
-        2-core host, the 2-worker process backend lost to inline on
-        perfbench's sharded-process set-up in 5 of 5 seeds (inline had
-        13–47 % more throughput); hosts with ≥ 4 cores are unmeasured.
+        2-core host, the 2-worker process backend loses to inline on
+        perfbench's sharded-process set-up in every uncontended run, also
+        since range rows ship as endpoints (inline had 24–36 % more
+        throughput, 2.2 against 2.9 ms per flush); hosts with ≥ 4 cores
+        are unmeasured.
     execute_backend:
         ``"process"`` (default) or ``"inline"`` (never a pool, whatever
         ``execute_workers`` says); anything else raises ``ValueError``.
@@ -446,6 +449,9 @@ class PrivateQueryEngine:
         # projected sub-databases and scatter memos.  ``None`` memoises an
         # unshardable policy.
         self._shard_sets = LRUMemo(maxsize=32)
+        # Stacked execute-unit batches by member signatures; bound and
+        # worst-case bytes at pipeline.STACK_MEMO_SIZE.
+        self._stacked_batches = LRUMemo(maxsize=STACK_MEMO_SIZE)
         self._pipeline = FlushPipeline(self)
         # The factorisation store is process-global; binding is idempotent
         # per registry, so several enabled engines share one instrument set.

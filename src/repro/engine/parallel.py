@@ -24,8 +24,12 @@ process round trip byte-identically):
   **miss-only blob protocol**: plans and databases are addressed by content
   digest, workers start with an empty digest-keyed *resident cache* that
   the protocol itself fills, and a steady-state dispatch ships only
-  ``(digest, digest, workloads + RNG child)`` per member — never the blobs
-  themselves.  The first dispatch of a digest carries its blob; a worker
+  ``(digest, digest, stacked batch + row slices + RNG child)`` per member —
+  never the blobs themselves.  Each unit is one stacked batch, built and
+  hashed once per batch content by the pipeline, whose range rows pickle as
+  ``lo``/``hi`` endpoints and whose signature rides along, so a range row
+  costs two integers on the pipe and the worker neither re-stacks nor
+  re-hashes.  The first dispatch of a digest carries its blob; a worker
   that still lacks a digest (a blob that landed on another worker, or a
   respawned worker that lost its cache) answers with a miss sentinel and
   the parent resubmits that one group with the full blobs, which also
@@ -72,7 +76,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,15 +115,20 @@ __all__ = [
 class ExecuteUnit:
     """One shippable slice of the execute stage.
 
-    A unit is the quadruple ``(plan, sub-histogram, ε, RNG)``: the plan
-    carries its ε in the key, ``database`` is the full histogram for
-    unsharded batches or the projected shard histogram for per-shard units,
-    and ``rng`` is the stream the unit draws from (dealt by the pipeline
-    before dispatch).
+    A unit is ``(plan, batch, sub-histogram, ε, RNG)``: the plan carries its
+    ε in the key, ``batch`` is the unit's member workloads stacked into one
+    (stacked once per batch content by the pipeline's memo, signature
+    included) and ``slices`` its members' row ranges, ``database`` is the
+    full histogram for unsharded batches or the projected shard histogram
+    for per-shard units, and ``rng`` is the stream the unit draws from
+    (dealt by the pipeline before dispatch).  On the process backend the
+    batch pickles its range rows as endpoints (see
+    :meth:`~repro.core.workload.Workload.__reduce__`).
     """
 
     plan: CachedPlan
-    workloads: List[Workload]
+    batch: Workload
+    slices: Tuple[slice, ...]
     database: Database
     rng: np.random.Generator = field(repr=False)
     #: Whether to compute the invocation's noise metadata.  The pipeline
@@ -130,31 +139,37 @@ class ExecuteUnit:
 
 def run_unit(
     plan: CachedPlan,
-    workloads: List[Workload],
+    batch: Workload,
+    slices: Sequence[slice],
     database: Database,
     rng: np.random.Generator,
     want_noise: bool = True,
 ) -> Tuple[List[np.ndarray], Optional["NoiseModel"]]:
-    """Execute one unit: one vectorised mechanism invocation.
+    """Execute one unit: one mechanism invocation on its stacked batch.
 
     Shared by both backends (and by the worker-process side), so inline and
     process execution run byte-for-byte the same code on the same inputs.
-    Returns the per-workload answer vectors plus the invocation's
-    :class:`~repro.mechanisms.base.NoiseModel` (``None`` when the mechanism
-    cannot state its noise honestly, or when ``want_noise`` is off) — the
-    metadata pickles, so it survives the process-pool round trip
-    identically.  The noise draw itself never depends on ``want_noise``:
-    the model is computed after the answers, from the workload alone.
+    Answers ``batch`` once, then (when ``want_noise``) takes its noise
+    model, then cuts the answers back out per member ``slices`` — exactly
+    what ``answer_batch_with_noise`` does, so the draws are the same.
+    Returns the per-member answer vectors plus the invocation's
+    :class:`~repro.mechanisms.base.NoiseModel` over the stacked rows
+    (``None`` when the mechanism cannot state its noise honestly, when
+    computing it fails — the metadata is advisory and never voids a drawn
+    release — or when ``want_noise`` is off); the metadata pickles, so it
+    survives the process-pool round trip identically.  The noise draw
+    itself never depends on ``want_noise``: the model is computed after the
+    answers, from the workload alone.
     """
     algorithm = plan.plan.algorithm
-    if len(workloads) == 1:
-        vectors = [algorithm.answer(workloads[0], database, rng)]
-        model = algorithm.noise_model(workloads[0]) if want_noise else None
-    elif want_noise:
-        vectors, model = algorithm.answer_batch_with_noise(workloads, database, rng)
-    else:
-        vectors, model = algorithm.answer_batch(workloads, database, rng), None
-    return [np.asarray(vector, dtype=np.float64) for vector in vectors], model
+    answers = np.asarray(algorithm.answer(batch, database, rng), dtype=np.float64)
+    model = None
+    if want_noise:
+        try:
+            model = algorithm.noise_model(batch)
+        except Exception:
+            pass  # advisory metadata: the drawn release stands
+    return [answers[rows] for rows in slices], model
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,8 @@ class ExecuteUnitGroup:
 
     Grouping coalesces *dispatch and transport only* — queue hops, pickles,
     IPC round trips, future bookkeeping — never the mechanism math: inside
-    the group each member unit still runs its own stacked ``answer_batch``
-    kernel with its **own** RNG (dealt by the pipeline *before* any
+    the group each member unit still runs its own stacked-batch kernel
+    with its **own** RNG (dealt by the pipeline *before* any
     grouping), in member order.  Seeded draws and ε ledgers are therefore
     byte-identical however units are grouped.  The pipeline only fuses
     members that share a planner config (same ε and planning flags in their
@@ -200,7 +215,12 @@ def run_unit_group(
         started = time.perf_counter()
         try:
             vectors, model = run_unit(
-                unit.plan, unit.workloads, unit.database, unit.rng, unit.want_noise
+                unit.plan,
+                unit.batch,
+                unit.slices,
+                unit.database,
+                unit.rng,
+                unit.want_noise,
             )
         except Exception as exc:
             outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
@@ -431,9 +451,9 @@ def _execute_shipped_group(
     group = ExecuteUnitGroup(
         units=tuple(
             ExecuteUnit(
-                resolved[plan_digest], workloads, resolved[db_digest], rng, want_noise
+                resolved[plan_digest], batch, slices, resolved[db_digest], rng, want_noise
             )
-            for (plan_digest, _, db_digest, _), (workloads, rng, want_noise) in zip(
+            for (plan_digest, _, db_digest, _), (batch, slices, rng, want_noise) in zip(
                 members, pickle.loads(payload_blob)
             )
         )
@@ -545,7 +565,8 @@ class ProcessExecuteBackend:
     any other worker that draws a later digest-only dispatch answers with a
     miss sentinel and the parent resubmits that one group with full blobs
     (also how a respawned worker repopulates).  Steady state therefore
-    ships only the workloads and the RNG children.
+    ships only each unit's stacked batch (range rows as endpoints), its row
+    slices and its RNG child.
 
     A worker pool that breaks (a worker OOM-killed or SIGKILLed, or dead
     before it finished starting) is replaced by a fresh, empty one up to
@@ -733,10 +754,8 @@ class ProcessExecuteBackend:
                     RESPAWN_BUDGET,
                 )
         if pool is not None:
-            # Never wait: on CPython 3.10 the manager thread of a pool whose
-            # workers died holding an unread call item larger than the pipe
-            # blocks for good (gh-94777), and waiting would hang the flush.
-            # The thread reaps the dead workers itself on 3.11 and later.
+            # Never wait: the broken pool's manager thread reaps the dead
+            # workers itself, and waiting would only stall the flush.
             pool.shutdown(wait=False)
             with self._blob_lock:
                 self._shipped_digests.clear()
@@ -782,7 +801,10 @@ class ProcessExecuteBackend:
             blobs.setdefault(plan_digest, plan_blob)
             blobs.setdefault(db_digest, db_blob)
         payload_blob = pickle.dumps(
-            [(unit.workloads, unit.rng, unit.want_noise) for unit in group.units],
+            [
+                (unit.batch, unit.slices, unit.rng, unit.want_noise)
+                for unit in group.units
+            ],
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         elapsed = time.perf_counter() - started

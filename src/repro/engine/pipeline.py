@@ -57,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.rng import spawn_children
-from ..core.workload import Workload
+from ..core.workload import Workload, stack_workloads
 from ..exceptions import (
     DeadlineExpiredError,
     MechanismError,
@@ -99,6 +99,14 @@ STAGES = ("plan", "charge", "execute", "resolve")
 #: (as opposed to a budget refusal).
 PLAN_FAILED = "Planning failed (nothing charged)"
 EXECUTE_FAILED = "Batch execution failed (charge rolled back)"
+
+#: Bound of the engine's stacked-batch memo (:meth:`FlushPipeline._stacked`).
+#: An entry pins one stacked CSR copy of its members — 12 bytes per nonzero
+#: plus 4 per row; a lone workload is its own stack and pins nothing new.
+#: sharded-process's unit (8 workloads × 8 ranges over a 1024-cell shard,
+#: ~22 000 nonzeros) is ~260 KB, so the memo's worst case there is ~8.5 MB;
+#: it only ever holds one entry per distinct unit content (8 there).
+STACK_MEMO_SIZE = 32
 
 AnswerKeyT = Tuple[str, str, str]
 
@@ -414,7 +422,7 @@ class FlushPipeline:
             end_wall,
             parent=parent,
             plan=label,
-            workloads=len(unit.workloads),
+            workloads=len(unit.slices),
         )
         for hop in hops:
             attributes = {
@@ -928,7 +936,8 @@ class FlushPipeline:
         on ``rng`` itself; sharded batches one unit per touched shard, each
         with its own child stream spawned from ``rng`` in sorted shard
         order.  ``rng`` is the batch's child of the flush stream (see
-        :meth:`_execute_batches`).  The second tuple element
+        :meth:`_execute_batches`).  Each unit carries its members stacked
+        into one batch (:meth:`_stacked`).  The second tuple element
         carries the ``(ticket position, piece index)`` entries needed to
         gather shard results, ``None`` for unsharded units.
         """
@@ -938,9 +947,13 @@ class FlushPipeline:
         want_noise = engine.answer_cache is not None
         if not batch.sharded:
             assert batch.entry is not None
+            stacked, slices = self._stacked(
+                [ticket.workload for ticket in batch.admitted]
+            )
             unit = ExecuteUnit(
                 plan=batch.entry,
-                workloads=[ticket.workload for ticket in batch.admitted],
+                batch=stacked,
+                slices=slices,
                 database=engine._database,
                 rng=rng,
                 want_noise=want_noise,
@@ -961,15 +974,38 @@ class FlushPipeline:
         for shard_index, shard_rng in zip(shard_order, shard_rngs):
             entries = jobs[shard_index]
             shard = entries[0][2].shard  # type: ignore[attr-defined]
+            stacked, slices = self._stacked(
+                [piece.workload for _, _, piece in entries]  # type: ignore[attr-defined]
+            )
             unit = ExecuteUnit(
                 plan=batch.shard_plans[shard_index],
-                workloads=[piece.workload for _, _, piece in entries],  # type: ignore[attr-defined]
+                batch=stacked,
+                slices=slices,
                 database=shard.database,
                 rng=shard_rng,
                 want_noise=want_noise,
             )
             units.append((unit, entries))
         return units
+
+    def _stacked(self, workloads: List[Workload]) -> Tuple[Workload, Tuple[slice, ...]]:
+        """One unit's members stacked into a batch, plus their row slices.
+
+        Memoised per batch content in the engine's ``_stacked_batches``
+        (bounded by :data:`STACK_MEMO_SIZE`), keyed by the tuple of member
+        signatures — ticket workloads memoise theirs, and so do shard pieces
+        (computed once inside the scatter memo).  The stacked batch's own
+        signature is computed once here, so a warm unit neither re-stacks
+        nor re-hashes, and the signature pickles along to worker processes.
+        """
+
+        def stack(_key) -> Tuple[Workload, Tuple[slice, ...]]:
+            stacked, slices = stack_workloads(workloads)
+            stacked.signature()
+            return stacked, tuple(slices)
+
+        key = tuple(workload.signature() for workload in workloads)
+        return self._engine._stacked_batches.get_or_compute(key, stack)
 
     def _assemble_batch(
         self,

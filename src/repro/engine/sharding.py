@@ -237,5 +237,8 @@ class ShardSet:
             sub_workload = workload.subset(rows.tolist()).restrict_to_columns(
                 shard.cells, shard.domain, name=workload.name or "scatter"
             )
+            # Hashed once here, inside the memo: every later flush keys the
+            # stacked-batch memo on this piece's memoised signature.
+            sub_workload.signature()
             pieces.append(ShardPiece(shard=shard, rows=rows, workload=sub_workload))
         return ShardScatter(num_queries=workload.num_queries, pieces=tuple(pieces))

@@ -104,7 +104,7 @@ def pooled_oracle(domain, database, segmented_policy):
                 consistency=True,
             )
             (vector,), _ = run_unit(
-                plan, [piece.workload], piece.shard.database, rng, False
+                plan, piece.workload, (slice(None),), piece.shard.database, rng, False
             )
             vectors[piece.shard.index] = vector
         answers.append(
@@ -266,14 +266,16 @@ class TestGroupPrimitives:
         )
         good = ExecuteUnit(
             plan=entry,
-            workloads=[identity_workload(domain)],
+            batch=identity_workload(domain),
+            slices=(slice(None),),
             database=database,
             rng=np.random.default_rng(3),
             want_noise=False,
         )
         bad = ExecuteUnit(
             plan=entry,
-            workloads=[identity_workload(Domain((DOMAIN_SIZE + 1,)))],
+            batch=identity_workload(Domain((DOMAIN_SIZE + 1,))),
+            slices=(slice(None),),
             database=database,
             rng=np.random.default_rng(4),
             want_noise=False,
@@ -291,7 +293,8 @@ class TestGroupPrimitives:
         def unit(seed):
             return ExecuteUnit(
                 plan=entry,
-                workloads=[identity_workload(domain)],
+                batch=identity_workload(domain),
+                slices=(slice(None),),
                 database=database,
                 rng=np.random.default_rng(seed),
                 want_noise=False,
@@ -337,7 +340,8 @@ class TestWorkerStoreLocality:
         def unit(entry, seed):
             return ExecuteUnit(
                 plan=entry,
-                workloads=[identity_workload(domain)],
+                batch=identity_workload(domain),
+                slices=(slice(None),),
                 database=database,
                 rng=np.random.default_rng(seed),
                 want_noise=False,

@@ -689,7 +689,8 @@ class TestDegradationLogging:
         backend.close(wait=True)
         unit = ExecuteUnit(
             plan=plan,
-            workloads=[identity_workload(domain)],
+            batch=identity_workload(domain),
+            slices=(slice(None),),
             database=database,
             rng=np.random.default_rng(3),
         )

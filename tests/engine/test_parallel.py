@@ -14,7 +14,7 @@ from repro.core import (
     identity_workload,
     total_workload,
 )
-from repro.core.workload import Workload
+from repro.core.workload import Workload, stack_workloads
 from repro.engine import PlanCache, PrivateQueryEngine, ShardSet
 from repro.engine.parallel import (
     INLINE_BACKEND,
@@ -153,7 +153,9 @@ def oracle_answers(domain, database, split_policy, rng):
         plan = plans.plan_for(
             line, epsilon, prefer_data_dependent=False, consistency=False
         )
-        vectors, _ = run_unit(plan, [build(domain)], database, batch_rngs[index], False)
+        vectors, _ = run_unit(
+            plan, build(domain), (slice(None),), database, batch_rngs[index], False
+        )
         answers.append(vectors[0])
     # The sharded batch: one unit per touched shard, workloads stacked in
     # ticket order, then gathered back per ticket.
@@ -176,7 +178,7 @@ def oracle_answers(domain, database, split_policy, rng):
         )
         vectors, _ = run_unit(
             plan,
-            [piece.workload for _, _, piece in entries],
+            *stack_workloads([piece.workload for _, _, piece in entries]),
             shard.database,
             shard_rng,
             False,
@@ -486,7 +488,7 @@ class TestLifecycle:
             real_submit = backend.submit_group
 
             def picky_submit(group):
-                if group.units[0].workloads[0].name == "Cumulative":
+                if group.units[0].batch.name == "Cumulative":
                     raise TypeError("cannot pickle this payload")
                 return real_submit(group)
 
@@ -510,7 +512,8 @@ class TestLifecycle:
         )
         unit = ExecuteUnit(
             plan=plan,
-            workloads=[identity_workload(domain)],
+            batch=identity_workload(domain),
+            slices=(slice(None),),
             database=database,
             rng=np.random.default_rng(0),
         )
@@ -575,7 +578,8 @@ class TestMissOnlyBlobProtocol:
         reference_rng = pickle.loads(pickle.dumps(rng))
         unit = ExecuteUnit(
             plan=plan,
-            workloads=[identity_workload(domain)],
+            batch=identity_workload(domain),
+            slices=(slice(None),),
             database=database,
             rng=rng,
         )
@@ -622,7 +626,8 @@ class TestMissOnlyBlobProtocol:
                 matrix[row, lo : lo + int(rng.integers(1, 32)) + 1] = 1.0
             return ExecuteUnit(
                 plan=plan,
-                workloads=[Workload(domain, matrix, name=f"narrow-{seed}")],
+                batch=Workload(domain, matrix, name=f"narrow-{seed}"),
+                slices=(slice(None),),
                 database=database,
                 rng=np.random.default_rng(seed),
                 want_noise=False,
@@ -666,7 +671,7 @@ class TestMissOnlyBlobProtocol:
             unit, reference_rng = self.make_unit(late_plan, domain, database, 3)
             vectors, _ = run_alone(backend, unit)
             reference, _ = run_unit(
-                late_plan, unit.workloads, database, reference_rng
+                late_plan, unit.batch, unit.slices, database, reference_rng
             )
             np.testing.assert_array_equal(vectors[0], reference[0])
             assert backend.blob_cache_misses == 2  # the plan and the database
@@ -690,7 +695,9 @@ class TestMissOnlyBlobProtocol:
             rngs = np.random.default_rng(seed).spawn(2)
             return ExecuteUnitGroup(
                 units=tuple(
-                    ExecuteUnit(p, [identity_workload(domain)], database, rng)
+                    ExecuteUnit(
+                        p, identity_workload(domain), (slice(None),), database, rng
+                    )
                     for p, rng in zip((late_plan, plan), rngs)
                 )
             )

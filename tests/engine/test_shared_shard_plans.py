@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Database, Domain, identity_workload
-from repro.core.workload import Workload
+from repro.core.workload import Workload, stack_workloads
 from repro.engine import PlanCache, PrivateQueryEngine, ShardSet
 from repro.engine.parallel import run_unit
 from repro.policy import PolicyGraph
@@ -98,7 +98,11 @@ def oracle_units(domain, database, policy):
         ]
         plan = PlanCache().plan_for(shard.policy, EPSILON)
         vectors, _ = run_unit(
-            plan, [piece.workload for piece in pieces], shard.database, shard_rng, False
+            plan,
+            *stack_workloads([piece.workload for piece in pieces]),
+            shard.database,
+            shard_rng,
+            False,
         )
         units[shard.index] = (pieces, vectors)
     return units

@@ -21,24 +21,7 @@ DRIVER = Path(__file__).with_name("startup_fault_driver.py")
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
-# CPython 3.10 lacks the gh-94777 fix: when workers die holding an unread
-# call item larger than the pipe (the first dispatch's blobs reach ~100 KB at
-# 1024 cells), the pool's manager thread blocks for good and interpreter exit
-# hangs on it.  The flushes still fail closed there; only exit does not.
-EXIT_HANGS_ON_310 = pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="CPython 3.10: a dead pool's manager thread blocks interpreter exit",
-)
-
-
-@pytest.mark.parametrize(
-    "cells",
-    [
-        64,
-        pytest.param(1024, marks=EXIT_HANGS_ON_310),
-        pytest.param(4096, marks=EXIT_HANGS_ON_310),
-    ],
-)
+@pytest.mark.parametrize("cells", [64, 1024, 4096])
 def test_workers_dead_at_start_fail_the_flush_closed(cells):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

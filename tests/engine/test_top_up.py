@@ -331,7 +331,11 @@ class TestTopUpDerivation:
             line_policy(domain), 0.5, prefer_data_dependent=False, consistency=False
         )
         (expected,), _ = run_unit(
-            plan, [identity_workload(domain)], database, flush_stream.spawn(1)[0]
+            plan,
+            identity_workload(domain),
+            (slice(None),),
+            database,
+            flush_stream.spawn(1)[0],
         )
         assert entry.measurements[1].answers.tobytes() == expected.tobytes()
 
