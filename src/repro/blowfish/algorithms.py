@@ -32,7 +32,7 @@ import numpy as np
 
 from ..core.database import Database
 from ..core.rng import RandomState
-from ..core.workload import Workload
+from ..core.workload import Workload, stack_workloads
 from ..exceptions import MechanismError
 from ..mechanisms.base import Mechanism
 from ..mechanisms.dawa import DawaMechanism
@@ -96,10 +96,16 @@ class NamedAlgorithm:
         database: Database,
         random_state: RandomState = None,
     ):
-        """:meth:`answer_batch` plus the invocation's noise metadata."""
-        return self.mechanism.answer_batch_with_noise(
-            workloads, database, random_state
-        )
+        """:meth:`answer_batch` plus the noise metadata of the stacked rows.
+
+        Draws are identical to :meth:`answer_batch` (one stacked invocation,
+        same stream).  The engine stacks in its pipeline and calls
+        :meth:`answer` and :meth:`noise_model` itself; this stays for callers
+        that hold unstacked members (perfbench's span hooks name it).
+        """
+        stacked, slices = stack_workloads(workloads)
+        answers = self.answer(stacked, database, random_state)
+        return [answers[rows] for rows in slices], self.noise_model(stacked)
 
 
 # ---------------------------------------------------------------------------

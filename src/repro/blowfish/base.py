@@ -13,17 +13,13 @@ one of the paper's three routes:
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.database import Database
 from ..core.rng import RandomState
-from ..core.workload import (
-    Workload,
-    answer_workloads_batched,
-    answer_workloads_batched_with_noise,
-)
+from ..core.workload import Workload, answer_workloads_batched
 from ..exceptions import PolicyError
 from ..mechanisms.base import NoiseModel, check_epsilon
 from ..policy.graph import PolicyGraph
@@ -127,22 +123,6 @@ class BlowfishMechanism(abc.ABC):
         deviations (and factor basis) their strategy implies.
         """
         return None
-
-    def answer_batch_with_noise(
-        self,
-        workloads: Sequence[Workload],
-        database: Database,
-        random_state: RandomState = None,
-    ) -> Tuple[List[np.ndarray], Optional[NoiseModel]]:
-        """:meth:`answer_batch` plus the invocation's noise metadata.
-
-        Draws are identical to :meth:`answer_batch` (one stacked invocation,
-        same stream); the metadata is advisory and degrades to ``None`` on
-        failure rather than voiding the already-drawn release.
-        """
-        return answer_workloads_batched_with_noise(
-            self.answer, self.noise_model, workloads, database, random_state
-        )
 
     # ----------------------------------------------------------------- helper
     def _check_instance(self, workload: Workload, database: Database) -> None:

@@ -503,29 +503,6 @@ def answer_workloads_batched(answer, workloads: Sequence[Workload], *args, **kwa
     return [batched[rows] for rows in slices]
 
 
-def answer_workloads_batched_with_noise(
-    answer, noise_model, workloads: Sequence[Workload], *args, **kwargs
-):
-    """:func:`answer_workloads_batched` plus the invocation's noise metadata.
-
-    ``noise_model`` is a ``(workload) -> Optional[NoiseModel]`` callable
-    (typically a mechanism's bound ``noise_model``), applied to the stacked
-    workload *after* the answers are drawn — so the draws are identical to
-    :func:`answer_workloads_batched` on the same stream.  The metadata is
-    advisory: a failure computing it degrades to ``None`` rather than
-    voiding the already-drawn release.  This is the single implementation
-    behind every ``answer_batch_with_noise`` method, so the semantics cannot
-    drift between mechanism hierarchies.
-    """
-    stacked, slices = stack_workloads(workloads)
-    batched = answer(stacked, *args, **kwargs)
-    try:
-        model = noise_model(stacked)
-    except Exception:
-        model = None
-    return [batched[rows] for rows in slices], model
-
-
 T = TypeVar("T")
 _MISSING = object()
 

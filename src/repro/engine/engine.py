@@ -90,7 +90,6 @@ from .pipeline import (
     EXPIRED,
     PENDING,
     REFUSED,
-    STACK_MEMO_SIZE,
     STAGES,
     FlushPipeline,
     QueryTicket,
@@ -449,9 +448,6 @@ class PrivateQueryEngine:
         # projected sub-databases and scatter memos.  ``None`` memoises an
         # unshardable policy.
         self._shard_sets = LRUMemo(maxsize=32)
-        # Stacked execute-unit batches by member signatures; bound and
-        # worst-case bytes at pipeline.STACK_MEMO_SIZE.
-        self._stacked_batches = LRUMemo(maxsize=STACK_MEMO_SIZE)
         self._pipeline = FlushPipeline(self)
         # The factorisation store is process-global; binding is idempotent
         # per registry, so several enabled engines share one instrument set.

@@ -151,24 +151,20 @@ def run_unit(
     process execution run byte-for-byte the same code on the same inputs.
     Answers ``batch`` once, then (when ``want_noise``) takes its noise
     model, then cuts the answers back out per member ``slices`` — exactly
-    what ``answer_batch_with_noise`` does, so the draws are the same.
-    Returns the per-member answer vectors plus the invocation's
+    what ``answer_batch`` draws on the unstacked members.  Returns the
+    per-member answer vectors plus the invocation's
     :class:`~repro.mechanisms.base.NoiseModel` over the stacked rows
     (``None`` when the mechanism cannot state its noise honestly, when
-    computing it fails — the metadata is advisory and never voids a drawn
-    release — or when ``want_noise`` is off); the metadata pickles, so it
-    survives the process-pool round trip identically.  The noise draw
-    itself never depends on ``want_noise``: the model is computed after the
-    answers, from the workload alone.
+    computing it fails — :meth:`NamedAlgorithm.noise_model
+    <repro.blowfish.algorithms.NamedAlgorithm.noise_model>` degrades a
+    failure to ``None`` — or when ``want_noise`` is off); the metadata
+    pickles, so it survives the process-pool round trip identically.  The
+    noise draw itself never depends on ``want_noise``: the model is
+    computed after the answers, from the workload alone.
     """
     algorithm = plan.plan.algorithm
     answers = np.asarray(algorithm.answer(batch, database, rng), dtype=np.float64)
-    model = None
-    if want_noise:
-        try:
-            model = algorithm.noise_model(batch)
-        except Exception:
-            pass  # advisory metadata: the drawn release stands
+    model = algorithm.noise_model(batch) if want_noise else None
     return [answers[rows] for rows in slices], model
 
 

@@ -57,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.rng import spawn_children
-from ..core.workload import Workload, stack_workloads
+from ..core.workload import LRUMemo, Workload, stack_workloads
 from ..exceptions import (
     DeadlineExpiredError,
     MechanismError,
@@ -100,7 +100,7 @@ STAGES = ("plan", "charge", "execute", "resolve")
 PLAN_FAILED = "Planning failed (nothing charged)"
 EXECUTE_FAILED = "Batch execution failed (charge rolled back)"
 
-#: Bound of the engine's stacked-batch memo (:meth:`FlushPipeline._stacked`).
+#: Bound of the pipeline's stacked-batch memo (:meth:`FlushPipeline._stacked`).
 #: An entry pins one stacked CSR copy of its members — 12 bytes per nonzero
 #: plus 4 per row; a lone workload is its own stack and pins nothing new.
 #: sharded-process's unit (8 workloads × 8 ranges over a 1024-cell shard,
@@ -357,6 +357,8 @@ class FlushPipeline:
 
     def __init__(self, engine: "PrivateQueryEngine") -> None:
         self._engine = engine
+        # Stacked execute-unit batches by member signatures (see _stacked).
+        self._stacked_batches = LRUMemo(maxsize=STACK_MEMO_SIZE)
 
     # --------------------------------------------------------- observability
     def _obs_flush_begin(self, tickets: List[QueryTicket]):
@@ -991,7 +993,7 @@ class FlushPipeline:
     def _stacked(self, workloads: List[Workload]) -> Tuple[Workload, Tuple[slice, ...]]:
         """One unit's members stacked into a batch, plus their row slices.
 
-        Memoised per batch content in the engine's ``_stacked_batches``
+        Memoised per batch content in ``_stacked_batches``
         (bounded by :data:`STACK_MEMO_SIZE`), keyed by the tuple of member
         signatures — ticket workloads memoise theirs, and so do shard pieces
         (computed once inside the scatter memo).  The stacked batch's own
@@ -1005,7 +1007,7 @@ class FlushPipeline:
             return stacked, tuple(slices)
 
         key = tuple(workload.signature() for workload in workloads)
-        return self._engine._stacked_batches.get_or_compute(key, stack)
+        return self._stacked_batches.get_or_compute(key, stack)
 
     def _assemble_batch(
         self,

@@ -21,18 +21,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..core.database import Database
 from ..core.rng import RandomState, ensure_rng
-from ..core.workload import (
-    Workload,
-    answer_workloads_batched,
-    answer_workloads_batched_with_noise,
-)
+from ..core.workload import Workload, answer_workloads_batched
 from ..exceptions import MechanismError, PrivacyBudgetError
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
@@ -44,7 +40,7 @@ class NoiseModel:
 
     A mechanism invocation releases ``y = true_answers + noise``.  This
     metadata rides alongside the answers (see
-    :meth:`Mechanism.answer_batch_with_noise`) so downstream inference —
+    :meth:`Mechanism.noise_model` and the engine's execute units) so downstream inference —
     the serving engine's generalised-least-squares consolidation — can weight
     and correlate measurements by what the strategy actually drew, instead of
     the crude ε-implied proxy (``2/ε²``).
@@ -225,24 +221,6 @@ class Mechanism(abc.ABC):
         where the noise is linear, the factor basis) their strategy implies.
         """
         return None
-
-    def answer_batch_with_noise(
-        self,
-        workloads: Sequence[Workload],
-        database: Database,
-        random_state: RandomState = None,
-    ) -> Tuple[List[np.ndarray], Optional[NoiseModel]]:
-        """:meth:`answer_batch` plus the invocation's noise metadata.
-
-        The answers are drawn exactly as :meth:`answer_batch` would draw
-        them (one stacked invocation, same stream), and the returned
-        :class:`NoiseModel` covers the stacked rows in input order.  The
-        metadata is advisory: a failure computing it degrades to ``None``
-        (the proxy model) rather than voiding the already-drawn release.
-        """
-        return answer_workloads_batched_with_noise(
-            self.answer, self.noise_model, workloads, database, random_state
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(epsilon={self._epsilon})"
