@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.database import Database
+from ..core.digest import matrix_digest
 from ..core.rng import RandomState
 from ..core.workload import Workload, WorkloadTransformCache
 from ..exceptions import MechanismError
@@ -204,7 +205,7 @@ class PolicyMatrixMechanism(BlowfishMechanism):
             return None
         handle = getattr(self, "_strategy_pinv_handle", None)
         if handle is None:
-            from ..engine.factorisation import get_store, matrix_digest
+            from ..engine.factorisation import get_store
 
             handle = get_store().get_or_build(
                 "strategy-pinv",

@@ -41,21 +41,6 @@ from ..policy.transform import PolicyTransform
 StrategyFactory = Callable[[int], Strategy]
 
 
-def strategy_digest(strategy: Strategy) -> str:
-    """Content digest of a strategy's measurement matrix.
-
-    The key under which the process-wide
-    :class:`~repro.engine.factorisation.FactorisationStore` shares derived
-    artifacts (the dense pseudo-inverse ``A⁺``) between every mechanism
-    built over the same matrix content — two mechanisms at different ε, or
-    in different plan caches, or re-hydrated in a worker process, all
-    resolve to one artifact per process.
-    """
-    from ..engine.factorisation import matrix_digest
-
-    return matrix_digest(strategy.matrix)
-
-
 def edge_identity_strategy(transform: PolicyTransform) -> Strategy:
     """Measure every transformed-domain (edge) coordinate once."""
     return identity_strategy(transform.num_edges)

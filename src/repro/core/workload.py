@@ -15,7 +15,6 @@ constructors used throughout the paper:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ import scipy.sparse as sp
 
 from ..exceptions import WorkloadError
 from .database import Database
+from . import digest
 from .domain import Domain
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
@@ -131,22 +131,23 @@ class Workload:
         Two workloads share a signature exactly when they are defined over the
         same domain and their matrices have identical sparsity structure and
         values.  The serving engine (:mod:`repro.engine`) keys its plan and
-        noisy-answer caches on this, so the hash is computed once per instance
+        noisy-answer caches and stores on this persisted sha256 (see
+        :mod:`repro.core.digest`), so the hash is computed once per instance
         and memoised (the matrix of a frozen :class:`Workload` never changes).
         """
         cached = self.__dict__.get("_signature")
         if cached is not None:
             return cached
         matrix = self._canonical_matrix()
-        hasher = hashlib.sha256()
-        hasher.update(repr(self.domain.shape).encode())
-        hasher.update(repr(matrix.shape).encode())
-        hasher.update(matrix.indptr.tobytes())
-        hasher.update(matrix.indices.tobytes())
-        hasher.update(np.ascontiguousarray(matrix.data, dtype=np.float64).tobytes())
-        digest = hasher.hexdigest()
-        object.__setattr__(self, "_signature", digest)
-        return digest
+        value = digest.signature(
+            repr(self.domain.shape).encode(),
+            repr(matrix.shape).encode(),
+            matrix.indptr.tobytes(),
+            matrix.indices.tobytes(),
+            np.ascontiguousarray(matrix.data, dtype=np.float64).tobytes(),
+        )
+        object.__setattr__(self, "_signature", value)
+        return value
 
     def _canonical_matrix(self) -> sp.csr_matrix:
         """The matrix with representation details normalised away.

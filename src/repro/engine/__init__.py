@@ -36,11 +36,15 @@ Quick start::
         answers = executor.ask("alice", identity_workload(domain), epsilon=0.25)
 """
 
+from ..core.digest import domain_signature, matrix_digest
+from ..core.workload import Workload
+from ..policy.graph import PolicyGraph
 from .answer_cache import (
     AnswerCache,
     AnswerCacheStats,
     CachedAnswer,
     Measurement,
+    answer_key,
     stack_measurements,
 )
 from .durability import (
@@ -58,7 +62,6 @@ from .factorisation import (
     FactorisationStore,
     FactorisationStoreStats,
     get_store,
-    matrix_digest,
     set_store,
     set_store_enabled,
     store_enabled,
@@ -85,17 +88,14 @@ from .pipeline import (
     FlushPipeline,
     QueryTicket,
 )
-from .plan_cache import PLAN_STORE_FORMAT, CachedPlan, PlanCache, PlanCacheStats
+from .plan_cache import PLAN_STORE_FORMAT, CachedPlan, PlanCache, PlanCacheStats, plan_key
 from .session import ClientSession
 from .sharding import DomainShard, ShardPiece, ShardScatter, ShardSet
-from .signature import (
-    answer_key,
-    domain_signature,
-    plan_key,
-    policy_signature,
-    workload_signature,
-)
 from .waiters import BatchTriggers, ThreadTicketWaiter, TicketLifecycle, TicketWaiter
+
+#: The memoised policy and workload signatures, under their function names.
+policy_signature = PolicyGraph.signature
+workload_signature = Workload.signature
 
 __all__ = [
     "ANSWERED",

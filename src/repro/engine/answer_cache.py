@@ -54,7 +54,6 @@ import scipy.sparse as sp
 from ..core.workload import Workload
 from ..policy.graph import PolicyGraph
 from ..postprocess.least_squares import generalised_least_squares_estimate
-from .signature import answer_key, policy_signature
 
 AnswerKey = Tuple[str, str, str]
 
@@ -62,6 +61,11 @@ AnswerKey = Tuple[str, str, str]
 #: declared noise — e.g. all-zero gathered queries outside every shard —
 #: must not make the covariance singular.
 _VARIANCE_FLOOR = 1e-12
+
+
+def answer_key(policy: PolicyGraph, workload: Workload, epsilon: float) -> AnswerKey:
+    """Cache key of one paid-for noisy answer vector (and of its stored copy)."""
+    return (policy.signature(), workload.signature(), repr(float(epsilon)))
 
 
 @dataclass
@@ -248,7 +252,7 @@ class AnswerCache:
         the measurement to upgrade when the caller does not name the ε it
         was originally bought at.
         """
-        policy_sig = policy_signature(policy)
+        policy_sig = policy.signature()
         workload_sig = workload.signature()
         with self._lock:
             return [
@@ -416,7 +420,7 @@ class AnswerCache:
         answer appears under *every* per-shard draw id it mixes.  Untagged
         measurements are omitted.
         """
-        sig = policy_signature(policy)
+        sig = policy.signature()
         grouped: Dict[int, List[AnswerKey]] = {}
         with self._lock:
             for key in self._by_policy.get(sig, ()):
@@ -451,7 +455,7 @@ class AnswerCache:
         unconsolidated while still counting it.  0 or 1 cached entries are
         left untouched (nothing to reconcile).
         """
-        sig = policy_signature(policy)
+        sig = policy.signature()
         with self._lock:
             keys = [k for k in self._by_policy.get(sig, ()) if k in self._entries]
             entries = [self._entries[k] for k in keys]

@@ -97,7 +97,6 @@ from .pipeline import (
 from .plan_cache import PlanCache
 from .session import ClientSession
 from .sharding import ShardSet
-from .signature import policy_signature
 
 __all__ = [
     "ANSWERED",
@@ -968,7 +967,7 @@ class PrivateQueryEngine:
         # Built outside the memo's lock (component analysis over a large
         # domain can be slow); whichever racing build published first serves.
         return self._shard_sets.get_or_compute(
-            policy_signature(policy), lambda _: ShardSet.build(policy, self._database)
+            policy.signature(), lambda _: ShardSet.build(policy, self._database)
         )
 
     def shard_count(self, policy: Optional[PolicyGraph] = None) -> int:

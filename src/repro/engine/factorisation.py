@@ -7,7 +7,11 @@ strategy pseudo-inverse, and every mechanism instance its own transformed
 workloads — even when dozens of cached plans (one per ε, per consistency
 mode, per engine, per worker process re-hydration) share the exact same
 underlying matrices.  This module deduplicates that work the same way the
-PR 5 blob protocol deduplicates bytes: by **content digest**.
+process backend's blob protocol deduplicates bytes: by **content digest**.
+Callers compute the keys with :func:`repro.core.digest.matrix_digest`; the
+store only looks them up.  The keys themselves live only in this process,
+but the ``"gram"`` key is a transform's ``gram_digest``, which plan stores
+persist inside pickled transforms (see :mod:`repro.core.digest`).
 
 Three artifact kinds are cached:
 
@@ -46,40 +50,17 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "FactorisationHandle",
     "FactorisationStore",
     "FactorisationStoreStats",
     "get_store",
-    "matrix_digest",
     "set_store",
     "set_store_enabled",
     "store_enabled",
 ]
-
-
-def matrix_digest(matrix) -> str:
-    """Content digest of a (sparse or dense) matrix, CSR-canonicalised.
-
-    Two matrices digest equal exactly when their CSR form has identical
-    shape, dtype and stored element layout — the same addressing scheme the
-    PR 5 blob protocol uses for pickles, applied to the matrix content
-    itself so it is independent of how the object was constructed or
-    shipped.
-    """
-    csr = sp.csr_matrix(matrix)
-    digest = blake2b(digest_size=16)
-    digest.update(repr((csr.shape, csr.dtype.str)).encode())
-    digest.update(np.ascontiguousarray(csr.indptr).tobytes())
-    digest.update(np.ascontiguousarray(csr.indices).tobytes())
-    digest.update(np.ascontiguousarray(csr.data).tobytes())
-    return digest.hexdigest()
 
 
 class FactorisationHandle:

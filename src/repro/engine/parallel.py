@@ -67,7 +67,6 @@ at most :data:`RESPAWN_BUDGET` times; after that every unit runs inline.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import multiprocessing
 import os
@@ -81,6 +80,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.database import Database
+from ..core.digest import content_digest
 from ..core.workload import LRUMemo, Workload
 from ..mechanisms.base import NoiseModel
 from .observability.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
@@ -379,7 +379,7 @@ _WORKER_RESIDENT = LRUMemo(maxsize=128)
 def _pickled(obj: object) -> Tuple[str, bytes]:
     """``(content digest, pickle)``: how ``obj`` crosses the process boundary."""
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.blake2b(blob, digest_size=16).hexdigest(), blob
+    return content_digest(blob), blob
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,12 @@ from ..exceptions import (
 )
 from ..mechanisms.base import NoiseModel
 from ..policy.graph import PolicyGraph
-from .answer_cache import Measurement
+from .answer_cache import AnswerKey, Measurement, answer_key
 from .durability.faults import fault_point
 from .parallel import INLINE_BACKEND, ExecuteUnit, ExecuteUnitGroup, execute_groups
-from .plan_cache import CachedPlan
+from .plan_cache import CachedPlan, plan_key
 from .session import ClientSession
 from .sharding import ShardScatter, ShardSet
-from .signature import answer_key, plan_key
 from .waiters import TicketLifecycle, TicketWaiter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -102,15 +101,13 @@ EXECUTE_FAILED = "Batch execution failed (charge rolled back)"
 
 #: Bound of the pipeline's stacked-batch memo (:meth:`FlushPipeline._stacked`).
 #: An entry pins one stacked CSR copy of its members — 12 bytes per nonzero
-#: plus 4 per row; a lone workload is its own stack and pins nothing new.
+#: plus 4 per row; a lone workload is its own stack and never enters it.
 #: sharded-process's unit (8 workloads × 8 ranges over a 1024-cell shard,
 #: ~22 000 nonzeros) is ~260 KB, so the memo's worst case there is ~8.5 MB;
 #: it only ever holds one entry per distinct unit content (8 there).  On
 #: perfbench's http-mixed traffic (mostly lone 1-8-range workloads) the
 #: stacked copies pinned measured at most 29 KB.
 STACK_MEMO_SIZE = 32
-
-AnswerKeyT = Tuple[str, str, str]
 
 
 def audit_context(audit, **ids):
@@ -200,7 +197,7 @@ class QueryTicket:
     deadline: Optional[float] = None
     #: Top-up tickets: the answer key and key ε of the cached entry the
     #: fresh measurement joins.  ``None`` for asks.
-    top_up: Optional[Tuple[AnswerKeyT, float]] = None
+    top_up: Optional[Tuple[AnswerKey, float]] = None
     #: Engine counter bumped by :meth:`cancel` — stamped at submit so the
     #: ticket can count its own cancellation without holding an engine ref.
     _cancel_counter: Optional[object] = field(default=None, repr=False, compare=False)
@@ -454,8 +451,8 @@ class FlushPipeline:
     ) -> None:
         engine = self._engine
         to_execute: List[QueryTicket] = []
-        followers: Dict[AnswerKeyT, List[QueryTicket]] = {}
-        seen_keys: Dict[AnswerKeyT, QueryTicket] = {}
+        followers: Dict[AnswerKey, List[QueryTicket]] = {}
+        seen_keys: Dict[AnswerKey, QueryTicket] = {}
         #: Replays resolved by this flush — recorded on the trace so a
         #: replay-only flush reads as "all served from cache", not as an
         #: empty tree.
@@ -505,7 +502,7 @@ class FlushPipeline:
         # leader and executed; any remainder waits for the next round.
         pending_followers = followers
         while pending_followers:
-            next_followers: Dict[AnswerKeyT, List[QueryTicket]] = {}
+            next_followers: Dict[AnswerKey, List[QueryTicket]] = {}
             retry: List[QueryTicket] = []
             for key, duplicate_tickets in pending_followers.items():
                 leader = seen_keys[key]
@@ -995,13 +992,18 @@ class FlushPipeline:
     def _stacked(self, workloads: List[Workload]) -> Tuple[Workload, Tuple[slice, ...]]:
         """One unit's members stacked into a batch, plus their row slices.
 
-        Memoised per batch content in ``_stacked_batches``
-        (bounded by :data:`STACK_MEMO_SIZE`), keyed by the tuple of member
-        signatures — ticket workloads memoise theirs, and so do shard pieces
-        (computed once inside the scatter memo).  The stacked batch's own
-        signature is computed once here, so a warm unit neither re-stacks
-        nor re-hashes, and the signature pickles along to worker processes.
+        A lone member is its own batch and never enters the memo.  Larger
+        batches are memoised per content in ``_stacked_batches`` (bounded by
+        :data:`STACK_MEMO_SIZE`), keyed by the tuple of member signatures —
+        ticket workloads memoise theirs, and so do shard pieces (computed
+        once inside the scatter memo).  The batch's own signature is
+        computed once here, so a warm unit neither re-stacks nor re-hashes,
+        and the signature pickles along to worker processes.
         """
+        if len(workloads) == 1:
+            (lone,) = workloads
+            lone.signature()
+            return lone, (slice(0, lone.num_queries),)
 
         def stack(_key) -> Tuple[Workload, Tuple[slice, ...]]:
             stacked, slices = stack_workloads(workloads)
@@ -1361,7 +1363,7 @@ class FlushPipeline:
     def _split_duplicates(batch: List[QueryTicket]) -> List[List[QueryTicket]]:
         """Partition a batch into rounds with no duplicate query per round."""
         rounds: List[List[QueryTicket]] = []
-        occurrence: Dict[AnswerKeyT, int] = {}
+        occurrence: Dict[AnswerKey, int] = {}
         for ticket in batch:
             key = answer_key(ticket.policy, ticket.workload, ticket.epsilon)
             index = occurrence.get(key, 0)

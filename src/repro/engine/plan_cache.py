@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..blowfish.planner import Plan, plan_mechanism
+from ..core.digest import domain_signature
 from ..exceptions import MechanismError, PlanStoreError
 from ..policy.graph import PolicyGraph
 from ..policy.transform import PolicyTransform
-from .signature import PlanKey, plan_key
 
 #: On-disk format version of persisted plan stores.  Bump on any change to
 #: the pickled layout that a loader cannot transparently absorb.
@@ -51,6 +51,20 @@ PLAN_STORE_FORMAT = 2
 #: slots, so they load cleanly and re-factorise (at most once per digest)
 #: through the store.
 PLAN_STORE_COMPAT_FORMATS = frozenset({1, PLAN_STORE_FORMAT})
+
+#: Cache key of a planning entry: (domain signature, policy signature, planner config).
+PlanKey = Tuple[str, str, str]
+
+
+def plan_key(
+    policy: PolicyGraph,
+    epsilon: float,
+    prefer_data_dependent: bool,
+    consistency: bool,
+) -> PlanKey:
+    """Cache key under which one planning result is stored (and persisted)."""
+    config = f"eps={float(epsilon)!r};dd={bool(prefer_data_dependent)};cons={bool(consistency)}"
+    return (domain_signature(policy.domain), policy.signature(), config)
 
 
 @dataclass

@@ -122,11 +122,11 @@ class ServingApp:
         return error_response(404, f"no route for {request.path}")
 
     # ------------------------------------------------------------- body memo
-    def recall_body(self, digest: bytes) -> Optional[ParsedBody]:
+    def recall_body(self, digest: str) -> Optional[ParsedBody]:
         """The memoised parse of the query body with this sha256 ``digest``."""
         return None if self._body_memo is None else self._body_memo.get(digest)
 
-    def remember_body(self, digest: bytes, body: dict, workload: Workload) -> None:
+    def remember_body(self, digest: str, body: dict, workload: Workload) -> None:
         """Memoise a query body whose workload parsed (oldest out past capacity)."""
         if self._body_memo is not None:
             fields = {name: value for name, value in body.items() if name != "workload"}

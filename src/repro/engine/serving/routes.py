@@ -26,10 +26,10 @@ Status-code conventions:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 
+from ...core.digest import signature
 from ...exceptions import (
     DomainError,
     PolicyError,
@@ -234,7 +234,7 @@ async def submit_query(app, request: Request) -> Response:
     decode nor :func:`parse_workload` runs again.  Every check below still
     runs on a recalled body, in the same order.
     """
-    digest = hashlib.sha256(request.body).digest()
+    digest = signature(request.body)
     recalled = app.recall_body(digest)
     if recalled is None:
         body, workload = request.json(), None

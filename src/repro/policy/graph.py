@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import networkx as nx
 import numpy as np
 
+from ..core import digest
 from ..core.domain import Domain
 from ..exceptions import PolicyError
 
@@ -143,6 +144,29 @@ class PolicyGraph:
         self._adjacency.setdefault(b, []).append((a, index))
         if is_bottom(a) or is_bottom(b):
             self._has_bottom = True
+
+    def signature(self) -> str:
+        """Content signature: domain shape plus the ordered edge list.
+
+        Edge *order* is part of the signature because the columns of ``P_G``
+        follow insertion order; two policies with the same edge set but
+        different order produce differently laid-out transforms and must not
+        share one.  Plan and answer stores are keyed by this persisted sha256
+        (see :mod:`repro.core.digest`).  It is memoised on the instance
+        (graphs are immutable after construction), under the attribute name
+        that pickled plans already carry.
+        """
+        cached = self.__dict__.get("_repro_signature")
+        if cached is None:
+            edges = "".join(
+                f"{-1 if is_bottom(u) else int(u)},{-1 if is_bottom(v) else int(v)};"
+                for u, v in self._edges
+            )
+            cached = digest.signature(
+                repr(tuple(self._domain.shape)).encode(), edges.encode()
+            )
+            self._repro_signature = cached
+        return cached
 
     # ------------------------------------------------------------ properties
     @property

@@ -34,6 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..core.database import Database
+from ..core.digest import content_digest, matrix_digest
 from ..core.sensitivity import unbounded_sensitivity
 from ..core.workload import Workload, WorkloadTransformCache
 from ..exceptions import PolicyError, TransformError
@@ -50,12 +51,6 @@ def _factorisation_store():
     from ..engine import factorisation
 
     return factorisation.get_store()
-
-
-def _matrix_digest(matrix) -> str:
-    from ..engine.factorisation import matrix_digest
-
-    return matrix_digest(matrix)
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,7 @@ class PolicyTransform:
         """
         digest = self._gram_digest
         if digest is None:
-            digest = _matrix_digest(self._incidence)
+            digest = matrix_digest(self._incidence)
             self._gram_digest = digest
         return digest
 
@@ -178,12 +173,10 @@ class PolicyTransform:
         """
         digest = self._transform_digest
         if digest is None:
-            from hashlib import blake2b
-
-            combined = blake2b(digest_size=16)
-            combined.update(self.gram_digest.encode())
-            combined.update(_matrix_digest(self.reduction_matrix()).encode())
-            digest = combined.hexdigest()
+            digest = content_digest(
+                self.gram_digest.encode(),
+                matrix_digest(self.reduction_matrix()).encode(),
+            )
             self._transform_digest = digest
         return digest
 

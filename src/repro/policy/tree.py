@@ -17,8 +17,6 @@ used by the test-suite.
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -26,6 +24,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.database import Database
+from ..core.digest import content_digest
+from ..core.workload import LRUMemo
 from ..exceptions import PolicyNotTreeError, TransformError
 from .graph import BOTTOM, PolicyGraph, is_bottom
 from .transform import PolicyTransform
@@ -90,19 +90,16 @@ class TreeTransform:
         # x_G per content digest of the counts it came from.  It is derived
         # from the private histogram, so it is never pickled: plans travel
         # to worker processes and to disk without it.
-        self._database_memo: Dict[bytes, np.ndarray] = {}
-        self._memo_lock = threading.Lock()
+        self._database_memo = LRUMemo(maxsize=_DATABASE_MEMO_SIZE)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_database_memo"]
-        del state["_memo_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._database_memo = {}
-        self._memo_lock = threading.Lock()
+        self._database_memo = LRUMemo(maxsize=_DATABASE_MEMO_SIZE)
 
     # ----------------------------------------------------------- construction
     def _build_structure(self) -> TreeStructure:
@@ -207,17 +204,10 @@ class TreeTransform:
         """
         if database.domain != self.policy.domain:
             raise TransformError("Database domain does not match the policy domain")
-        counts = database.counts
-        key = hashlib.blake2b(np.ascontiguousarray(counts), digest_size=16).digest()
-        edge_values = self._database_memo.get(key)
-        if edge_values is None:
-            edge_values = self._subtree_counts(counts)
-            edge_values.flags.writeable = False
-            with self._memo_lock:
-                if len(self._database_memo) >= _DATABASE_MEMO_SIZE:
-                    del self._database_memo[next(iter(self._database_memo))]
-                self._database_memo[key] = edge_values
-        return edge_values
+        counts = np.ascontiguousarray(database.counts)
+        return self._database_memo.get_or_compute(
+            content_digest(counts), lambda _: self._subtree_counts(counts)
+        )
 
     def _subtree_counts(self, counts: np.ndarray) -> np.ndarray:
         counts_kept = counts[self._transform.kept_vertices]
@@ -230,6 +220,7 @@ class TreeTransform:
         edge_values = np.zeros(self.num_edges, dtype=np.float64)
         child_rows = structure.child_vertex_of_edge
         edge_values[:] = structure.edge_sign * subtree[child_rows]
+        edge_values.flags.writeable = False
         return edge_values
 
     def inverse_transform(self, edge_values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.workload import Workload
 from repro.engine import Measurement, PrivateQueryEngine, stack_measurements
-from repro.engine.signature import policy_signature
+from repro.engine import policy_signature
 from repro.policy import PolicyGraph, line_policy
 from repro.postprocess import weighted_least_squares_estimate
 

@@ -10,18 +10,17 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import Database, Domain, identity_workload
-from repro.engine import PLAN_STORE_FORMAT, PlanCache, PrivateQueryEngine
+from repro.engine import PLAN_STORE_FORMAT, PlanCache, PrivateQueryEngine, matrix_digest
 from repro.engine.factorisation import (
     FactorisationStore,
     get_store,
-    matrix_digest,
     set_store,
     set_store_enabled,
 )
 from repro.engine.plan_cache import read_plan_store, write_plan_store
 from repro.exceptions import MechanismError
 from repro.blowfish.matrix_mechanism import PolicyMatrixMechanism
-from repro.blowfish.strategies import grid_slab_strategy, strategy_digest
+from repro.blowfish.strategies import grid_slab_strategy
 from repro.policy import PolicyGraph, grid_policy, line_policy
 from repro.policy.transform import PolicyTransform
 
@@ -163,7 +162,7 @@ class TestCrossObjectSharing:
         workload = identity_workload(grid)
         a = PolicyMatrixMechanism(policy, epsilon=0.5, strategy=grid_slab_strategy)
         b = PolicyMatrixMechanism(policy, epsilon=2.0, strategy=grid_slab_strategy)
-        assert strategy_digest(a.strategy) == strategy_digest(b.strategy)
+        assert matrix_digest(a.strategy.matrix) == matrix_digest(b.strategy.matrix)
         model_a = a.noise_model(workload)
         pinv_builds = fresh_store.stats().misses
         model_b = b.noise_model(workload)

@@ -9,11 +9,13 @@ given the same seed draws the same noise.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,13 +39,15 @@ def database(domain: Domain) -> Database:
     return Database(domain, np.arange(24, dtype=float), name="ramp24")
 
 
-#: Child script: print one sha256 per pickled plan (line, θ-threshold and
-#: both shards of a two-component policy), on the Laplace and DAWA routes.
+#: Child script: print one line per cached plan (line, θ-threshold and both
+#: shards of a two-component policy), on the Laplace and DAWA routes: the
+#: sha256 of the pickled plan, then the process backend's blob digest of the
+#: cached entry (what addresses it on the worker pipe).
 DIGEST_CHILD = """
 import hashlib, pickle
 import numpy as np
 from repro.core import Database, Domain
-from repro.engine import PlanCache, ShardSet
+from repro.engine import PlanCache, ProcessExecuteBackend, ShardSet
 from repro.policy import PolicyGraph, line_policy, threshold_policy
 
 domain = Domain((64,))
@@ -55,15 +59,17 @@ split = PolicyGraph(
 shards = ShardSet.build(split, Database(domain, np.arange(64.0))).shards
 policies = [line_policy(domain), threshold_policy(domain, 4)]
 policies += [shard.policy for shard in shards]
+backend = ProcessExecuteBackend(2)
 for data_dependent in (False, True):
     cache = PlanCache()
     for policy in policies:
-        plan = cache.plan_for(
+        entry = cache.plan_for(
             policy, 0.5, prefer_data_dependent=data_dependent,
             consistency=data_dependent,
-        ).plan
-        blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
-        print(hashlib.sha256(blob).hexdigest())
+        )
+        blob = pickle.dumps(entry.plan, protocol=pickle.HIGHEST_PROTOCOL)
+        print(hashlib.sha256(blob).hexdigest(), backend._plan_entry(entry)[0])
+backend.close()
 """
 
 
@@ -233,6 +239,8 @@ class TestShardingRoundTrips:
 
 class TestHashSeedIndependence:
     def test_plans_pickle_to_the_same_bytes_under_any_hash_seed(self):
+        """Plan pickles and their worker-pipe blob digests agree under two
+        hash seeds, and the pickles match the committed golden sha256s."""
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         digests = []
         for seed in ("1", "2"):
@@ -248,6 +256,9 @@ class TestHashSeedIndependence:
                 timeout=120,
             )
             assert result.returncode == 0, result.stderr
-            digests.append(result.stdout.split())
+            digests.append([line.split() for line in result.stdout.splitlines()])
         assert len(digests[0]) == 8
+        assert all(len(line) == 2 for line in digests[0])
         assert digests[0] == digests[1]
+        golden = json.loads((Path(__file__).with_name("fixtures") / "digests.json").read_text())
+        assert [sha for sha, _ in digests[0]] == golden["plan_pickle_sha256"]

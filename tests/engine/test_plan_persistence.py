@@ -21,7 +21,7 @@ from repro.core import (
 from repro.core.workload import Workload
 from repro.engine import PLAN_STORE_FORMAT, PlanCache, PrivateQueryEngine, ShardSet
 from repro.engine.plan_cache import write_plan_store
-from repro.engine.signature import policy_signature
+from repro.engine import policy_signature
 from repro.exceptions import MechanismError
 from repro.policy import PolicyGraph, line_policy
 

@@ -81,7 +81,7 @@ class TestPickledState:
         workload = cumulative_workload(database.domain)
         before = mechanism.answer(workload, database, 5)
         clone = pickle.loads(pickle.dumps(mechanism))
-        assert clone.tree._database_memo == {}
+        assert len(clone.tree._database_memo) == 0
         assert clone.tree.transform._reduction is None
         assert clone.tree.transform._offset_layout is None
         assert clone.answer(workload, database, 5).tobytes() == before.tobytes()
@@ -136,7 +136,7 @@ class TestPlanStore:
             engine.close()
         payload = path.read_bytes()
         for mechanism in warm:
-            for x_g in mechanism.tree._database_memo.values():
+            for x_g in mechanism.tree._database_memo._entries.values():
                 assert x_g.tobytes() not in payload
             for field in TREE_MEMOS:
                 assert field.encode() not in payload

@@ -8,7 +8,7 @@ import pytest
 from repro.core import Database, Domain, identity_workload, total_workload
 from repro.core.workload import Workload
 from repro.engine import PrivateQueryEngine, ShardSet
-from repro.engine.signature import plan_key
+from repro.engine import plan_key
 from repro.exceptions import PrivacyBudgetError
 from repro.policy import PolicyGraph, line_policy
 from repro.policy.builders import sensitive_attribute_policy

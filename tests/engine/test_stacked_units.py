@@ -3,7 +3,7 @@
 Deterministic gates (no timing): a range-policy flush on the process
 backend ships a small fraction of what member-by-member CSR payloads cost,
 and a warm flush neither re-stacks its units' members nor re-hashes a
-stacked matrix.
+stacked matrix.  A lone member is its own batch and never enters the memo.
 """
 
 from __future__ import annotations
@@ -147,3 +147,15 @@ def test_warm_sharded_flushes_never_restack_or_rehash(monkeypatch):
     assert len(stacks) == COMPONENTS  # one stack per shard, in total
     rehashed = [w for w in hashed if any(w is stacked for stacked in stacks)]
     assert len(rehashed) == COMPONENTS  # each stacked batch hashed once, cold
+
+
+def test_flushes_of_lone_workloads_leave_the_stack_memo_empty():
+    pool = range_pool(4 * 64, size=3)
+    with make_engine(4 * 64) as engine:
+        engine.open_session("client", 1e5)
+        for workload in pool:  # one ticket per flush: one member per shard unit
+            ticket = engine.submit("client", workload, 0.5)
+            engine.flush()
+            assert ticket.status == "answered", ticket.error
+        assert engine.stats.sharded_batches == len(pool)
+        assert len(engine._pipeline._stacked_batches) == 0
